@@ -6,14 +6,18 @@
 //	adcnn-bench -exp fig11          # one experiment
 //	adcnn-bench -exp accuracy -quick
 //
-// Experiments: fig3, accuracy (= fig10 + table1 + table2), fig11,
-// table3, fig12, fig13, fig14, fig15, stream, slo, chaos, cluster, all.
+// Experiments: kernels, compress, fig3, fig9, accuracy (= fig10 +
+// table1 + table2), fig11, table3, fig12, fig13, fig14, fig15, stream,
+// slo, chaos, cluster, partition, locality, failure, all. An unknown
+// name is a usage error (exit 2). kernels and compress run only when
+// named; all runs the rest.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"adcnn/internal/compress/codecbench"
@@ -24,8 +28,15 @@ import (
 	"adcnn/internal/tensor/kernelbench"
 )
 
+// experimentNames lists every valid -exp value.
+var experimentNames = []string{
+	"kernels", "compress", "fig3", "fig9", "accuracy", "fig11", "table3", "fig12", "fig13",
+	"fig14", "fig15", "stream", "slo", "chaos", "cluster", "partition", "locality", "failure", "all",
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (kernels|compress|fig3|fig9|accuracy|fig11|table3|fig12|fig13|fig14|fig15|stream|slo|chaos|cluster|partition|locality|failure|all)")
+	valid := strings.Join(experimentNames, "|")
+	exp := flag.String("exp", "all", "experiment to run ("+valid+")")
 	images := flag.Int("images", 50, "images per latency measurement")
 	quick := flag.Bool("quick", false, "small accuracy setup (fast, one model)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -38,6 +49,10 @@ func main() {
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the multi-replica control-plane report (-exp cluster)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline from the traced experiments (fig9, stream) to this file")
 	flag.Parse()
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown -exp %q (want %s)\n", *exp, valid)
+		os.Exit(2)
+	}
 
 	w := os.Stdout
 	opts := experiments.DefaultSimOptions()

@@ -26,7 +26,7 @@ import (
 	"adcnn/internal/compress"
 	"adcnn/internal/core"
 	"adcnn/internal/dataset"
-	"adcnn/internal/models"
+	"adcnn/internal/experiments"
 	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
@@ -73,22 +73,14 @@ func dialNode(addr string, budget time.Duration) (net.Conn, error) {
 
 func main() {
 	nodeList := flag.String("nodes", "127.0.0.1:9001", "comma-separated Conv node addresses")
-	model := flag.String("model", "vgg-sim", "model short name")
-	grid := flag.String("grid", "4x4", "FDSP partition")
-	seed := flag.Int64("seed", 42, "weight seed shared with conv nodes")
 	images := flag.Int("images", 10, "number of synthetic images to run")
 	tl := flag.Duration("tl", 5*time.Second, "result wait deadline T_L")
 	gamma := flag.Float64("gamma", 0.9, "statistics decay γ")
-	weights := flag.String("weights", "", "optional weight snapshot for the full net")
-	clipLo := flag.Float64("clip-lo", 0, "clipped ReLU lower bound")
-	clipHi := flag.Float64("clip-hi", 0, "clipped ReLU upper bound")
-	quant := flag.Int("quant", 0, "quantization bits (0 = off)")
-	quantized := flag.Bool("quantized", false, "int8 operating mode: quantize weights per channel, send quantized tiles, run the back layers through the int8 path")
 	verify := flag.Bool("verify", true, "check outputs against local execution")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/flight and /debug/sessions on this address (e.g. :9090)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline (central + conv-side spans) to this file (single replica only)")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "total dial budget per conv node (retry with backoff)")
-	pipeline := flag.Int("pipeline", 0, "stream images through a bounded pipeline of this depth (0 = sequential Infer loop)")
+	pipeline := flag.Int("pipeline", 0, "stream images through a bounded pipeline of this depth (0 or 1 = one image at a time)")
 	replicas := flag.Int("replicas", 1, "cluster mode: run this many Central replicas over the same conv pool (each conv node serves one session per replica)")
 	breakdown := flag.Bool("breakdown", false, "print the per-image mean phase decomposition after each image")
 	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring capacity (events)")
@@ -98,6 +90,7 @@ func main() {
 	sloSlow := flag.Duration("slo-slow", core.DefaultSLOWindows[1], "SLO: slow burn-rate window")
 	probeInterval := flag.Duration("probe-interval", time.Second, "link probe period per node session, keeping RTT estimates fresh through idle periods (0 disables)")
 	linkAware := flag.Bool("link-aware", false, "fold measured link transfer costs into the tile allocation (sched.EffectiveSpeeds)")
+	op := cliutil.RegisterOperatingPoint(flag.CommandLine)
 	lf := cliutil.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	logger := cliutil.MustLogger(lf, "adcnn-central")
@@ -105,322 +98,68 @@ func main() {
 		logger.Error(msg, args...)
 		os.Exit(1)
 	}
+	cluster := *replicas > 1
+	if cluster && *tracePath != "" {
+		die("-trace records one Central's timeline; it cannot be combined with -replicas > 1")
+	}
 
-	cfg, err := cliutil.SimConfigByName(*model)
-	if err != nil {
-		die("bad -model", "err", err)
-	}
-	g, err := cliutil.ParseGrid(*grid)
-	if err != nil {
-		die("bad -grid", "err", err)
-	}
-	m, err := models.Build(cfg, models.Options{
-		Grid: g, ClipLo: float32(*clipLo), ClipHi: float32(*clipHi), QuantBits: *quant,
-		Int8: *quantized,
-	}, *seed)
+	// The verification oracle is its own model instance: it runs while
+	// the Centrals execute back layers, and a Central's model must not be
+	// shared (it serializes back-layer execution per instance).
+	oracle, err := op.Build(logger)
 	if err != nil {
 		die("build model", "err", err)
 	}
-	if *weights != "" {
-		f, err := os.Open(*weights)
-		if err != nil {
-			die("open weights", "err", err)
-		}
-		if err := m.Net.LoadParams(f); err != nil {
-			die("load weights", "err", err)
-		}
-		f.Close()
+	set, err := experiments.SynthSet(oracle.Cfg, *images, op.Seed+100)
+	if err != nil {
+		die("build dataset", "err", err)
 	}
-	if *quantized {
-		n, err := m.QuantizeInt8()
-		if err != nil {
-			die("int8 quantize", "err", err)
-		}
-		logger.Info("int8 inference enabled", "layers", n, "quantized_uplink", m.Int8InputOK())
-	}
-
-	if m.Opt.Clipped() && *quant > 0 {
-		// Same line the conv nodes emit, so mismatched clip/quant flags
-		// between the two ends show up immediately in the logs.
-		p := compress.NewPipeline(*quant, m.Opt.ClipHi-m.Opt.ClipLo)
-		q := p.Quantizer()
-		logger.Info("boundary codec",
-			"bits", *quant, "range", m.Opt.ClipHi-m.Opt.ClipLo,
-			"step", q.Step(), "zero_threshold", q.ZeroThreshold())
-	}
-
 	var addrs []string
 	for _, addr := range strings.Split(*nodeList, ",") {
 		addrs = append(addrs, strings.TrimSpace(addr))
 	}
 
-	if *replicas > 1 {
-		runCluster(logger, die, m, clusterConfig{
-			addrs: addrs, replicas: *replicas,
-			cfg: cfg, opt: m.Opt, seed: *seed, weights: *weights, quantized: *quantized,
-			tl: *tl, gamma: *gamma, images: *images, depth: *pipeline,
-			verify: *verify, breakdown: *breakdown,
-			metricsAddr: *metricsAddr, connectTimeout: *connectTimeout,
-			flightSize:    *flightSize,
-			probeInterval: *probeInterval, linkAware: *linkAware,
-		})
-		return
-	}
-
-	var conns []core.Conn
-	for _, addr := range addrs {
-		c, err := dialNode(addr, *connectTimeout)
-		if err != nil {
-			die("connect to conv node", "err", err)
-		}
-		conns = append(conns, core.NewStreamConn(c))
-	}
-	central, err := core.NewCentral(m, conns, *tl, *gamma)
-	if err != nil {
-		die("new central", "err", err)
-	}
-	defer central.Shutdown()
-	if *probeInterval > 0 {
-		central.EnableLinkProbes(*probeInterval)
-	}
-	if *linkAware {
-		central.EnableLinkAware()
-	}
-	// Let each node session reconnect (with backoff) if its connection
-	// drops mid-run, instead of staying dead forever.
-	for k, addr := range addrs {
-		addr := addr
-		central.SetDialer(k, func(ctx context.Context) (core.Conn, error) {
-			d := net.Dialer{}
-			c, err := d.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewStreamConn(c), nil
-		})
-	}
-
-	// The flight recorder is cheap (a mutex-guarded ring) and is what
-	// explains a missed deadline after the fact, so it is always on; the
-	// metrics address only decides whether it is reachable over HTTP.
-	flight := telemetry.NewFlightRecorder(*flightSize)
-	central.SetFlightRecorder(flight)
-
-	if *metricsAddr != "" {
-		reg := telemetry.NewRegistry()
-		met := core.NewMetrics(reg)
-		central.SetMetrics(met)
-		compress.Instrument(reg)
-		telemetry.RegisterBuildInfo(reg, "central", tensor.DetectedKernelTier().String())
-
-		// Scheduler decision audit: every Algorithm 3 reallocation lands
-		// in a ring served at /debug/sched and logged at Debug level.
-		met.Sched.AttachAudit(sched.NewAudit(0, logger))
-
-		// SLO engine over the windowed instruments: a breach dumps the
-		// flight ring (naming the objective and the worst-health node)
-		// and flips /healthz to 503 so a load balancer drains us.
-		engine := core.NewSLOEngine(met, core.SLOConfig{
-			TileP99:    disableZero(sloP99.Seconds()),
-			MissBudget: disableZero(*sloMiss),
-			FastWindow: *sloFast,
-			SlowWindow: *sloSlow,
-		})
-		central.WireSLO(engine)
-		engine.Subscribe(func(tr telemetry.SLOTransition) {
-			logger.Warn("slo transition", "objective", tr.Objective,
-				"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
-		})
-		go engine.Run(context.Background(), 0)
-
-		breachCheck := func() error {
-			if engine.Breached() {
-				return fmt.Errorf("slo breach: %+v", engine.Status())
-			}
-			return nil
-		}
-		mux := telemetry.MuxChecks(reg, breachCheck, breachCheck)
-		mux.Handle("/debug/flight", flight)
-		mux.Handle("/debug/sessions", central.SessionsHandler())
-		mux.Handle("/debug/sched", met.Sched.Audit())
-		_, bound, err := telemetry.ServeMux(*metricsAddr, mux)
-		if err != nil {
-			die("metrics server", "err", err)
-		}
-		logger.Info("debug endpoints up",
-			"addr", bound.String(),
-			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
-	}
-	var trace *telemetry.Trace
-	if *tracePath != "" {
-		trace = telemetry.NewTrace()
-		central.SetTrace(trace)
-		defer func() {
-			if err := trace.WriteFile(*tracePath); err != nil {
-				logger.Error("write trace", "err", err)
-			} else {
-				logger.Info("wrote trace", "path", *tracePath, "events", trace.Len())
-			}
-		}()
-	}
-
-	set, err := synthSet(cfg, *images, *seed+100)
-	if err != nil {
-		die("build dataset", "err", err)
-	}
-	var total time.Duration
-	mismatches := 0
-	// In the int8 operating mode the distributed run quantizes each tile
-	// with its own affine while the local oracle quantizes the whole
-	// image, so outputs agree only to within accumulated quantization
-	// error — the verify tolerance widens accordingly.
-	verifyTol := float32(1e-4)
-	if *quantized {
-		verifyTol = 5e-2
-	}
-	report := func(i int, x *tensor.Tensor, out *tensor.Tensor, st core.InferStats) {
-		total += st.Latency
-		status := ""
-		if *verify {
-			want := m.Net.Forward(x, false)
-			if !out.Equal(want, verifyTol) {
-				status = "  MISMATCH vs local"
-				mismatches++
-			}
-		}
-		fmt.Printf("image %2d: latency %8v  missed %d  alloc %v%s\n",
-			i, st.Latency.Round(time.Microsecond), st.TilesMissed, st.Alloc, status)
-		if *breakdown {
-			st.Breakdown.WriteText(os.Stdout)
-		}
-		logger.Debug("image complete",
-			"image", i, "trace_id", core.TraceIDString(st.TraceID),
-			"latency", st.Latency, "missed", st.TilesMissed)
-	}
-
-	wallStart := time.Now()
-	if *pipeline > 0 {
-		// Streaming mode: up to -pipeline images in flight, so image i+1's
-		// tiles are on the wire while image i's results are still arriving.
-		p := core.NewPipeline(central, *pipeline)
-		inputs := make(chan *tensor.Tensor, 1)
-		go func() {
-			defer close(inputs)
-			for i := 0; i < *images; i++ {
-				x, _ := set.Batch(i, 1)
-				inputs <- x
-			}
-		}()
-		for r := range p.Run(context.Background(), inputs) {
-			if r.Err != nil {
-				die("pipeline image failed", "image", r.Index, "err", r.Err)
-			}
-			x, _ := set.Batch(r.Index, 1)
-			report(r.Index, x, r.Out, r.Stats)
-		}
-	} else {
-		for i := 0; i < *images; i++ {
-			x, _ := set.Batch(i, 1)
-			out, st, err := central.Infer(x)
-			if err != nil {
-				die("infer failed", "image", i, "err", err)
-			}
-			report(i, x, out, st)
-		}
-	}
-	wall := time.Since(wallStart)
-	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
-		(total / time.Duration(*images)).Round(time.Microsecond), *images,
-		float64(*images)/wall.Seconds(), mismatches)
-	if mismatches > 0 {
-		os.Exit(1)
-	}
-}
-
-// clusterConfig carries the flag values the multi-replica path needs.
-type clusterConfig struct {
-	addrs          []string
-	replicas       int
-	cfg            models.Config
-	opt            models.Options
-	seed           int64
-	weights        string
-	quantized      bool
-	tl             time.Duration
-	gamma          float64
-	images         int
-	depth          int
-	verify         bool
-	breakdown      bool
-	metricsAddr    string
-	connectTimeout time.Duration
-	flightSize     int
-	probeInterval  time.Duration
-	linkAware      bool
-}
-
-// runCluster is the -replicas N path: N full Centrals — each with its
-// own connections, statistics, and pending table — drive the same Conv
-// pool through core.Cluster, which partitions node capacity by demand
-// and steals queued images between replicas. Images are submitted
-// round-robin across replica origins and reported in submission order.
-func runCluster(logger *slog.Logger, die func(string, ...any), oracle *models.Model, cc clusterConfig) {
 	var reg *telemetry.Registry
-	if cc.metricsAddr != "" {
+	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		compress.Instrument(reg)
 		telemetry.RegisterBuildInfo(reg, "central", tensor.DetectedKernelTier().String())
 	}
-	// One audit ring and one flight ring for the whole cluster: replica
+	// One scheduler audit ring and one flight ring for every Central:
 	// reallocations and cluster rebalances interleave in the same
-	// decision history, which is exactly the view a postmortem wants.
+	// decision history, which is the view a postmortem wants. The flight
+	// recorder is cheap and is what explains a missed deadline after the
+	// fact, so it is always on; -metrics-addr only makes it reachable.
 	audit := sched.NewAudit(0, logger)
-	flight := telemetry.NewFlightRecorder(cc.flightSize)
+	flight := telemetry.NewFlightRecorder(*flightSize)
+	var singleMet *core.Metrics // the -replicas 1 Central's unlabeled families
 
-	build := func(r int) (*core.Central, error) {
-		// Each replica gets its own model instance (same seed, same
-		// weights, so all replicas compute identical back layers) —
-		// Central serializes back-layer execution per instance, and
-		// replicas must not contend on one model's scratch state.
-		mr, err := models.Build(cc.cfg, cc.opt, cc.seed)
+	newCentral := func(r int) (*core.Central, error) {
+		m, err := op.Build(nil)
 		if err != nil {
 			return nil, err
 		}
-		if cc.weights != "" {
-			f, err := os.Open(cc.weights)
-			if err != nil {
-				return nil, err
-			}
-			if err := mr.Net.LoadParams(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			f.Close()
-		}
-		if cc.quantized {
-			if _, err := mr.QuantizeInt8(); err != nil {
-				return nil, err
-			}
-		}
 		var conns []core.Conn
-		for _, addr := range cc.addrs {
-			nc, err := dialNode(addr, cc.connectTimeout)
+		for _, addr := range addrs {
+			nc, err := dialNode(addr, *connectTimeout)
 			if err != nil {
 				return nil, err
 			}
 			conns = append(conns, core.NewStreamConn(nc))
 		}
-		cen, err := core.NewCentral(mr, conns, cc.tl, cc.gamma)
+		cen, err := core.NewCentral(m, conns, *tl, *gamma)
 		if err != nil {
 			return nil, err
 		}
-		if cc.probeInterval > 0 {
-			cen.EnableLinkProbes(cc.probeInterval)
+		if *probeInterval > 0 {
+			cen.EnableLinkProbes(*probeInterval)
 		}
-		if cc.linkAware {
+		if *linkAware {
 			cen.EnableLinkAware()
 		}
-		for k, addr := range cc.addrs {
+		// Let each node session reconnect (with backoff) if its
+		// connection drops mid-run, instead of staying dead forever.
+		for k, addr := range addrs {
 			addr := addr
 			cen.SetDialer(k, func(ctx context.Context) (core.Conn, error) {
 				d := net.Dialer{}
@@ -433,27 +172,41 @@ func runCluster(logger *slog.Logger, die func(string, ...any), oracle *models.Mo
 		}
 		cen.SetFlightRecorder(flight)
 		if reg != nil {
-			met := core.NewReplicaMetrics(reg, strconv.Itoa(r))
+			var met *core.Metrics
+			if cluster {
+				met = core.NewReplicaMetrics(reg, strconv.Itoa(r))
+			} else {
+				met = core.NewMetrics(reg)
+				singleMet = met
+			}
 			cen.SetMetrics(met)
 			met.Sched.AttachAudit(audit)
 		}
 		return cen, nil
 	}
 
-	cl, err := core.NewCluster(build, core.ClusterOptions{
-		Replicas: cc.replicas, Depth: cc.depth, Registry: reg, Audit: audit,
-	})
-	if err != nil {
-		die("new cluster", "err", err)
-	}
-	defer cl.Shutdown()
-	logger.Info("cluster up", "replicas", cc.replicas, "nodes", len(cc.addrs))
-
-	if cc.metricsAddr != "" {
-		mux := telemetry.MuxChecks(reg, nil, nil)
-		mux.Handle("/debug/flight", flight)
-		mux.Handle("/debug/sched", audit)
-		mux.Handle("/debug/sessions", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	// The drive step is the only thing the two modes do differently:
+	// each calls emit once per image, in submission order.
+	var (
+		drive    func(emit func(i int, r core.ClusterResult))
+		sessions http.Handler
+		healthz  func() error
+		cl       *core.Cluster
+	)
+	if cluster {
+		// N full Centrals — each with its own connections, statistics and
+		// pending table — drive the same Conv pool through core.Cluster,
+		// which partitions node capacity by demand and steals queued
+		// images between replicas.
+		cl, err = core.NewCluster(newCentral, core.ClusterOptions{
+			Replicas: *replicas, Depth: *pipeline, Registry: reg, Audit: audit,
+		})
+		if err != nil {
+			die("new cluster", "err", err)
+		}
+		defer cl.Shutdown()
+		logger.Info("cluster up", "replicas", *replicas, "nodes", len(addrs))
+		sessions = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			all := make(map[string][]core.SessionDebug, cl.Replicas())
 			for r := 0; r < cl.Replicas(); r++ {
@@ -462,8 +215,62 @@ func runCluster(logger *slog.Logger, die func(string, ...any), oracle *models.Mo
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", " ")
 			_ = enc.Encode(all)
-		}))
-		_, bound, err := telemetry.ServeMux(cc.metricsAddr, mux)
+		})
+		drive = func(emit func(int, core.ClusterResult)) { driveCluster(cl, set, *images, emit) }
+	} else {
+		central, err := newCentral(0)
+		if err != nil {
+			die("new central", "err", err)
+		}
+		defer central.Shutdown()
+		sessions = central.SessionsHandler()
+		if singleMet != nil {
+			// SLO engine over the windowed instruments: a breach dumps
+			// the flight ring (naming the objective and the worst-health
+			// node) and flips /healthz to 503 so a load balancer drains us.
+			engine := core.NewSLOEngine(singleMet, core.SLOConfig{
+				TileP99:    disableZero(sloP99.Seconds()),
+				MissBudget: disableZero(*sloMiss),
+				FastWindow: *sloFast,
+				SlowWindow: *sloSlow,
+			})
+			central.WireSLO(engine)
+			engine.Subscribe(func(tr telemetry.SLOTransition) {
+				logger.Warn("slo transition", "objective", tr.Objective,
+					"from", tr.FromName, "to", tr.ToName, "detail", tr.Detail)
+			})
+			go engine.Run(context.Background(), 0)
+			healthz = func() error {
+				if engine.Breached() {
+					return fmt.Errorf("slo breach: %+v", engine.Status())
+				}
+				return nil
+			}
+		}
+		if *tracePath != "" {
+			trace := telemetry.NewTrace()
+			central.SetTrace(trace)
+			defer func() {
+				if err := trace.WriteFile(*tracePath); err != nil {
+					logger.Error("write trace", "err", err)
+				} else {
+					logger.Info("wrote trace", "path", *tracePath, "events", trace.Len())
+				}
+			}()
+		}
+		// Up to -pipeline images in flight, so image i+1's tiles are on
+		// the wire while image i's results are still arriving; depth 1
+		// admits one image at a time.
+		p := core.NewPipeline(central, max(*pipeline, 1))
+		drive = func(emit func(int, core.ClusterResult)) { drivePipeline(p, set, *images, emit) }
+	}
+
+	if reg != nil {
+		mux := telemetry.MuxChecks(reg, healthz, healthz)
+		mux.Handle("/debug/flight", flight)
+		mux.Handle("/debug/sessions", sessions)
+		mux.Handle("/debug/sched", audit)
+		_, bound, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
 			die("metrics server", "err", err)
 		}
@@ -471,88 +278,98 @@ func runCluster(logger *slog.Logger, die func(string, ...any), oracle *models.Mo
 			"paths", "/metrics /healthz /readyz /debug/pprof /debug/flight /debug/sessions /debug/sched")
 	}
 
-	set, err := synthSet(cc.cfg, cc.images, cc.seed+100)
-	if err != nil {
-		die("build dataset", "err", err)
-	}
+	// In the int8 operating mode the distributed run quantizes each tile
+	// with its own affine while the local oracle quantizes the whole
+	// image, so outputs agree only to within accumulated quantization
+	// error — the verify tolerance widens accordingly.
 	verifyTol := float32(1e-4)
-	if cc.quantized {
+	if op.Quantized {
 		verifyTol = 5e-2
 	}
-
-	// Submit from a feeder goroutine (Submit blocks on admission once a
-	// replica's queue is full) and collect in submission order here.
-	type pendingImg struct {
-		i  int
-		ch <-chan core.ClusterResult
-	}
-	pend := make(chan pendingImg, cc.replicas*4)
-	go func() {
-		defer close(pend)
-		for i := 0; i < cc.images; i++ {
-			x, _ := set.Batch(i, 1)
-			ch, err := cl.Submit(context.Background(), i%cc.replicas, x)
-			if err != nil {
-				ec := make(chan core.ClusterResult, 1)
-				ec <- core.ClusterResult{Origin: i % cc.replicas, Err: err}
-				ch = ec
-			}
-			pend <- pendingImg{i, ch}
-		}
-	}()
-
-	wallStart := time.Now()
 	var total time.Duration
 	mismatches := 0
-	executed := make([]int, cc.replicas)
-	for p := range pend {
-		r := <-p.ch
+	executed := make([]int, max(*replicas, 1))
+	wallStart := time.Now()
+	drive(func(i int, r core.ClusterResult) {
 		if r.Err != nil {
-			die("cluster image failed", "image", p.i, "err", r.Err)
+			die("image failed", "image", i, "err", r.Err)
 		}
-		executed[r.Replica]++
 		total += r.Stats.Latency
 		status := ""
-		if cc.verify {
-			x, _ := set.Batch(p.i, 1)
-			want := oracle.Net.Forward(x, false)
-			if !r.Out.Equal(want, verifyTol) {
+		if *verify {
+			x, _ := set.Batch(i, 1)
+			if !r.Out.Equal(oracle.Net.Forward(x, false), verifyTol) {
 				status = "  MISMATCH vs local"
 				mismatches++
 			}
 		}
-		stolen := ""
-		if r.Replica != r.Origin {
-			stolen = fmt.Sprintf(" (stolen %d<-%d)", r.Replica, r.Origin)
+		where := ""
+		if cluster {
+			executed[r.Replica]++
+			where = fmt.Sprintf("replica %d  ", r.Replica)
+			if r.Replica != r.Origin {
+				status = fmt.Sprintf(" (stolen %d<-%d)", r.Replica, r.Origin) + status
+			}
 		}
-		fmt.Printf("image %2d: replica %d  latency %8v  missed %d  alloc %v%s%s\n",
-			p.i, r.Replica, r.Stats.Latency.Round(time.Microsecond),
-			r.Stats.TilesMissed, r.Stats.Alloc, stolen, status)
-		if cc.breakdown {
+		fmt.Printf("image %2d: %slatency %8v  missed %d  alloc %v%s\n",
+			i, where, r.Stats.Latency.Round(time.Microsecond), r.Stats.TilesMissed, r.Stats.Alloc, status)
+		if *breakdown {
 			r.Stats.Breakdown.WriteText(os.Stdout)
 		}
-	}
+		logger.Debug("image complete",
+			"image", i, "trace_id", core.TraceIDString(r.Stats.TraceID),
+			"latency", r.Stats.Latency, "missed", r.Stats.TilesMissed)
+	})
 	wall := time.Since(wallStart)
 	fmt.Printf("mean latency: %v over %d images; throughput %.2f imgs/s; %d mismatches\n",
-		(total / time.Duration(cc.images)).Round(time.Microsecond), cc.images,
-		float64(cc.images)/wall.Seconds(), mismatches)
-	fmt.Printf("cluster: executed per replica %v; steals %v\n", executed, cl.Steals())
+		(total / time.Duration(*images)).Round(time.Microsecond), *images,
+		float64(*images)/wall.Seconds(), mismatches)
+	if cluster {
+		fmt.Printf("cluster: executed per replica %v; steals %v\n", executed, cl.Steals())
+	}
 	if mismatches > 0 {
 		os.Exit(1)
 	}
 }
 
-func synthSet(cfg models.Config, n int, seed int64) (*dataset.Set, error) {
-	switch cfg.Task {
-	case models.TaskClassify:
-		return dataset.Classification(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, 0.15, seed), nil
-	case models.TaskSegment:
-		return dataset.Segmentation(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, seed), nil
-	case models.TaskDetect:
-		dh, dw := cfg.TotalDownsample()
-		return dataset.Cells(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, cfg.InputH/dh, cfg.InputW/dw, seed), nil
-	case models.TaskText:
-		return dataset.Text(n, cfg.Classes, cfg.InputC, cfg.InputH, seed), nil
+// drivePipeline streams the first n images of set through p and emits
+// each result in submission order, in the cluster's result shape.
+func drivePipeline(p *core.Pipeline, set *dataset.Set, n int, emit func(int, core.ClusterResult)) {
+	inputs := make(chan *tensor.Tensor, 1)
+	go func() {
+		defer close(inputs)
+		for i := 0; i < n; i++ {
+			x, _ := set.Batch(i, 1)
+			inputs <- x
+		}
+	}()
+	for r := range p.Run(context.Background(), inputs) {
+		emit(r.Index, core.ClusterResult{Out: r.Out, Stats: r.Stats, Err: r.Err})
 	}
-	return nil, fmt.Errorf("unknown task")
+}
+
+// driveCluster submits the first n images of set round-robin across the
+// replica origins and emits each result in submission order.
+func driveCluster(cl *core.Cluster, set *dataset.Set, n int, emit func(int, core.ClusterResult)) {
+	// Submit from a feeder goroutine: Submit blocks on admission once a
+	// replica's queue is full.
+	pend := make(chan (<-chan core.ClusterResult), cl.Replicas()*4)
+	go func() {
+		defer close(pend)
+		for i := 0; i < n; i++ {
+			x, _ := set.Batch(i, 1)
+			ch, err := cl.Submit(context.Background(), i%cl.Replicas(), x)
+			if err != nil {
+				ec := make(chan core.ClusterResult, 1)
+				ec <- core.ClusterResult{Origin: i % cl.Replicas(), Err: err}
+				ch = ec
+			}
+			pend <- ch
+		}
+	}()
+	i := 0
+	for ch := range pend {
+		emit(i, <-ch)
+		i++
+	}
 }

@@ -23,24 +23,16 @@ import (
 	"adcnn/internal/cliutil"
 	"adcnn/internal/compress"
 	"adcnn/internal/core"
-	"adcnn/internal/models"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
 func main() {
 	listen := flag.String("listen", ":9001", "TCP listen address")
-	model := flag.String("model", "vgg-sim", "model: vgg-sim|resnet-sim|yolo-sim|fcn-sim|charcnn-sim")
-	grid := flag.String("grid", "4x4", "FDSP partition, e.g. 4x4")
-	seed := flag.Int64("seed", 42, "weight seed shared with the central node")
 	id := flag.Int("id", 1, "node ID")
-	weights := flag.String("weights", "", "optional weight snapshot (nn.SaveParams format) for the full net")
-	clipLo := flag.Float64("clip-lo", 0, "clipped ReLU lower bound (0 with hi=0 disables)")
-	clipHi := flag.Float64("clip-hi", 0, "clipped ReLU upper bound")
-	quant := flag.Int("quant", 0, "quantization bits (0 = off)")
-	quantized := flag.Bool("quantized", false, "int8 operating mode: quantize weights per channel and serve quantized tiles through the int8 GEMM path")
 	queue := flag.Int("session-queue", 0, "per-session bounded compute queue depth (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9091)")
+	op := cliutil.RegisterOperatingPoint(flag.CommandLine)
 	lf := cliutil.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	logger := cliutil.MustLogger(lf, "adcnn-conv")
@@ -49,39 +41,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	m, err := buildModel(*model, *grid, *seed, float32(*clipLo), float32(*clipHi), *quant, *quantized)
+	m, err := op.Build(logger)
 	if err != nil {
 		die("build model", "err", err)
-	}
-	if *weights != "" {
-		f, err := os.Open(*weights)
-		if err != nil {
-			die("open weights", "err", err)
-		}
-		if err := m.Net.LoadParams(f); err != nil {
-			die("load weights", "err", err)
-		}
-		f.Close()
-	}
-	if *quantized {
-		// Quantize after the weights are final: the int8 snapshot freezes
-		// whatever the layers hold at this point.
-		n, err := m.QuantizeInt8()
-		if err != nil {
-			die("int8 quantize", "err", err)
-		}
-		logger.Info("int8 inference enabled", "layers", n, "levels_entry", m.Int8InputOK())
-	}
-
-	if m.Opt.Clipped() && *quant > 0 {
-		// Surface the exact fused-codec operating point: the zero threshold
-		// is what the single-pass encoder classifies runs against, so having
-		// it in the log makes sparsity numbers reproducible offline.
-		p := compress.NewPipeline(*quant, m.Opt.ClipHi-m.Opt.ClipLo)
-		q := p.Quantizer()
-		logger.Info("boundary codec",
-			"bits", *quant, "range", m.Opt.ClipHi-m.Opt.ClipLo,
-			"step", q.Step(), "zero_threshold", q.ZeroThreshold())
 	}
 
 	// One worker, one NodeServer: every Central that connects gets an
@@ -138,7 +100,7 @@ func main() {
 		<-ctx.Done()
 		ln.Close()
 	}()
-	logger.Info("conv node serving", "node", *id, "model", *model, "grid", *grid, "addr", ln.Addr().String())
+	logger.Info("conv node serving", "node", *id, "model", op.Model, "grid", op.Grid, "addr", ln.Addr().String())
 	// Transient Accept failures (EMFILE, ECONNABORTED, momentary stack
 	// hiccups) must not take the daemon down — every attached Central
 	// session would die with it. Log, back off, retry; only shutdown
@@ -173,17 +135,4 @@ func main() {
 			}
 		}()
 	}
-}
-
-func buildModel(name, grid string, seed int64, lo, hi float32, quant int, int8Mode bool) (*models.Model, error) {
-	cfg, err := cliutil.SimConfigByName(name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := cliutil.ParseGrid(grid)
-	if err != nil {
-		return nil, err
-	}
-	opt := models.Options{Grid: g, ClipLo: lo, ClipHi: hi, QuantBits: quant, Int8: int8Mode}
-	return models.Build(cfg, opt, seed)
 }

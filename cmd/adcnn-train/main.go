@@ -20,7 +20,7 @@ import (
 	"os"
 
 	"adcnn/internal/cliutil"
-	"adcnn/internal/dataset"
+	"adcnn/internal/experiments"
 	"adcnn/internal/models"
 	"adcnn/internal/trainer"
 )
@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	data, err := buildSet(cfg, *samples, *seed)
+	data, err := experiments.SynthSet(cfg, *samples, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,19 +94,4 @@ func main() {
 		fmt.Printf("saved final weights to %s (use with adcnn-central/-conv: -grid %s -clip-lo %.4f -clip-hi %.4f -quant %d)\n",
 			*out, *grid, lo, hi, *quant)
 	}
-}
-
-func buildSet(cfg models.Config, n int, seed int64) (*dataset.Set, error) {
-	switch cfg.Task {
-	case models.TaskClassify:
-		return dataset.Classification(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, 0.15, seed), nil
-	case models.TaskSegment:
-		return dataset.Segmentation(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, seed), nil
-	case models.TaskDetect:
-		dh, dw := cfg.TotalDownsample()
-		return dataset.Cells(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, cfg.InputH/dh, cfg.InputW/dw, seed), nil
-	case models.TaskText:
-		return dataset.Text(n, cfg.Classes, cfg.InputC, cfg.InputH, seed), nil
-	}
-	return nil, fmt.Errorf("unknown task")
 }

@@ -1,6 +1,7 @@
 // Package cliutil provides the small helpers the adcnn command-line
-// tools share: resolving sim-scale model configs by short name and
-// parsing partition grids.
+// tools share: resolving sim-scale model configs by short name,
+// parsing partition grids, the daemons' shared operating-point flags
+// and their logging flags.
 package cliutil
 
 import (

@@ -254,6 +254,45 @@ func TestDistributedWithCompressionMatchesLocal(t *testing.T) {
 	}
 }
 
+// Halo-mode (AOFL-style, exact) distribution ships each tile extended by
+// the separable prefix's receptive-field margin; FDSP ships nothing but
+// compressed results. On the same image the halo input volume must
+// exceed FDSP's compressed result volume — the quantitative core of the
+// ADCNN-vs-AOFL comparison, with FDSP's side measured on the live runtime.
+func TestHaloModeCostsMoreWireThanFDSP(t *testing.T) {
+	cfg := models.VGGSim()
+	grid := fdsp.Grid{Rows: 4, Cols: 4}
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(1, cfg.InputC, cfg.InputH, cfg.InputW)
+	x.RandN(rng, 1)
+
+	var geoms []fdsp.LayerGeom
+	for _, g := range cfg.HaloGeoms(cfg.Separable) {
+		geoms = append(geoms, fdsp.LayerGeom{Kernel: g[0], Stride: g[1]})
+	}
+	margin := fdsp.HaloMargin(geoms)
+	if margin <= 0 {
+		t.Fatal("a multi-conv front must need a positive halo margin")
+	}
+	var haloWire int64
+	for _, tl := range grid.Layout(cfg.InputH, cfg.InputW) {
+		ext := fdsp.HaloExtension(tl, margin, cfg.InputH, cfg.InputW)
+		haloWire += int64(ext.H * ext.W * cfg.InputC * 4)
+	}
+
+	c, _, stop := buildRuntime(t, models.Options{
+		Grid: grid, ClipLo: 0.05, ClipHi: 2.5, QuantBits: 4,
+	}, 4, 5*time.Second)
+	defer stop()
+	_, st, err := c.Infer(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if haloWire <= st.WireBytes {
+		t.Fatalf("halo input wire %d must exceed compressed FDSP wire %d", haloWire, st.WireBytes)
+	}
+}
+
 func TestDistributedLoadBalancesAcrossImages(t *testing.T) {
 	opt := models.Options{Grid: fdsp.Grid{Rows: 4, Cols: 4}}
 	c, _, stop := buildRuntime(t, opt, 4, 5*time.Second)

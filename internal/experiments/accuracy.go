@@ -92,7 +92,7 @@ type AccuracyResult struct {
 func RunAccuracy(setup AccuracySetup) (*AccuracyResult, error) {
 	res := &AccuracyResult{}
 	for _, cfg := range setup.Models {
-		data, err := synthSet(cfg, setup.Samples, setup.Seed)
+		data, err := SynthSet(cfg, setup.Samples, setup.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -164,8 +164,8 @@ func RunAccuracy(setup AccuracySetup) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// synthSet builds the synthetic dataset matching a model's task.
-func synthSet(cfg models.Config, n int, seed int64) (*dataset.Set, error) {
+// SynthSet builds the synthetic dataset matching a model's task.
+func SynthSet(cfg models.Config, n int, seed int64) (*dataset.Set, error) {
 	switch cfg.Task {
 	case models.TaskClassify:
 		return dataset.Classification(n, cfg.Classes, cfg.InputC, cfg.InputH, cfg.InputW, 0.15, seed), nil

@@ -33,7 +33,7 @@ type FailureResult struct {
 func FailureSweep(setup AccuracySetup, maxMissing int) (*FailureResult, error) {
 	cfg := setup.Models[0]
 	grid := setup.Grids[0]
-	data, err := synthSet(cfg, setup.Samples, setup.Seed)
+	data, err := SynthSet(cfg, setup.Samples, setup.Seed)
 	if err != nil {
 		return nil, err
 	}

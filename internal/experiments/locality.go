@@ -36,7 +36,7 @@ type LocalityResult struct {
 // depth's sensitivity radius by backpropagating from a centre unit.
 func FeatureLocality(setup AccuracySetup) (*LocalityResult, error) {
 	cfg := setup.Models[0]
-	data, err := synthSet(cfg, setup.Samples, setup.Seed)
+	data, err := SynthSet(cfg, setup.Samples, setup.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ type PartitioningResult struct {
 func ComparePartitioning(setup AccuracySetup) (*PartitioningResult, error) {
 	cfg := setup.Models[0]
 	grid := setup.Grids[0]
-	data, err := synthSet(cfg, setup.Samples, setup.Seed)
+	data, err := SynthSet(cfg, setup.Samples, setup.Seed)
 	if err != nil {
 		return nil, err
 	}
