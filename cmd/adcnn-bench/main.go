@@ -8,9 +8,11 @@
 //
 // Experiments: kernels, compress, fig3, fig9, accuracy (= fig10 +
 // table1 + table2), fig11, table3, fig12, fig13, fig14, fig15, stream,
-// slo, chaos, cluster, partition, locality, failure, all. An unknown
-// name is a usage error (exit 2). kernels and compress run only when
-// named; all runs the rest.
+// chaos, cluster, partition, locality, failure, all. An unknown name is
+// a usage error (exit 2). kernels and compress run only when named; all
+// runs the rest. chaos is also the gray-failure experiment: its
+// slownode drill measures how fast the SLO engine detects a straggling
+// Conv node and whether health telemetry blames it.
 package main
 
 import (
@@ -31,7 +33,7 @@ import (
 // experimentNames lists every valid -exp value.
 var experimentNames = []string{
 	"kernels", "compress", "fig3", "fig9", "accuracy", "fig11", "table3", "fig12", "fig13",
-	"fig14", "fig15", "stream", "slo", "chaos", "cluster", "partition", "locality", "failure", "all",
+	"fig14", "fig15", "stream", "chaos", "cluster", "partition", "locality", "failure", "all",
 }
 
 func main() {
@@ -44,7 +46,6 @@ func main() {
 	int8Gate := flag.Float64("int8-gate", 0, "fail if the minimum whole-layer int8/f32 forward ratio falls below this floor (-exp kernels; 0 disables)")
 	compressOut := flag.String("compress-out", "BENCH_compress.json", "output path for the boundary-codec microbenchmark report (-exp compress)")
 	streamOut := flag.String("stream-out", "BENCH_stream.json", "output path for the live-stream telemetry-overhead report (-exp stream)")
-	sloOut := flag.String("slo-out", "BENCH_slo.json", "output path for the SLO slow-node detection report (-exp slo)")
 	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "output path for the chaos drill report (-exp chaos)")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the multi-replica control-plane report (-exp cluster)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline from the traced experiments (fig9, stream) to this file")
@@ -209,28 +210,12 @@ func main() {
 		fmt.Fprintf(w, "wrote %s\n", *streamOut)
 		return nil
 	})
-	run("slo", func() error {
-		// Gray-failure drill: inject a slow node into a live cluster and
-		// measure how fast the burn-rate SLO engine detects it, whether
-		// the health scorer blames the right node, and how fast the
-		// breach clears after recovery.
-		rep, err := experiments.SLOBench(experiments.SLOBenchConfig{})
-		if err != nil {
-			return err
-		}
-		rep.WriteText(w)
-		if err := rep.WriteJSON(*sloOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *sloOut)
-		return nil
-	})
 	run("chaos", func() error {
 		// Scripted fault schedule against the live TCP runtime: node
 		// crash/restart, bandwidth collapse, clock skew, and a slow-node
 		// gray failure, each asserting the telemetry stack saw what
 		// happened (link estimates, audit attribution, breach + blame,
-		// recovery).
+		// detection latency, recovery).
 		rep, err := experiments.ChaosBench(experiments.ChaosBenchConfig{})
 		if err != nil {
 			return err

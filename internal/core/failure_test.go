@@ -9,6 +9,7 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
+	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
 )
 
@@ -101,5 +102,54 @@ func TestRuntimeAllWorkersDead(t *testing.T) {
 	x := tensor.New(1, 3, 32, 32)
 	if _, _, err := c.Infer(x); err == nil {
 		t.Fatal("inference with every node dead must error")
+	}
+}
+
+// TestCentralRejectsWrongShapedResult serves a VGG16-sim Central from a
+// Conv node running ResNet-sim: every result decodes cleanly but has
+// the wrong shape for the Central's back layers. The Central must treat
+// each such result like an undecodable one — record a decode-error and
+// zero-fill the tile at T_L — instead of panicking in Back.Forward.
+func TestCentralRejectsWrongShapedResult(t *testing.T) {
+	opt := models.Options{Grid: fdsp.Grid{Rows: 2, Cols: 2}}
+	central, err := models.Build(models.VGGSim(), opt, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := models.Build(models.ResNetSim(), opt, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Pipe()
+	w := NewWorker(1, other)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = w.Serve(context.Background(), b) }()
+	c, err := NewCentral(central, []Conn{a}, 200*time.Millisecond, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight := telemetry.NewFlightRecorder(0)
+	c.SetFlightRecorder(flight)
+	defer func() { c.Shutdown(); wg.Wait() }()
+
+	x := tensor.New(1, 3, 32, 32)
+	x.RandN(rand.New(rand.NewSource(3)), 1)
+	_, st, err := c.Infer(x)
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	if tiles := opt.Grid.Tiles(); st.TilesMissed != tiles {
+		t.Fatalf("TilesMissed = %d, want all %d tiles (every result has the wrong shape)", st.TilesMissed, tiles)
+	}
+	found := false
+	for _, ev := range flight.Events() {
+		if ev.Kind == "decode-error" {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("flight ring holds no decode-error event for the wrong-shaped results")
 	}
 }

@@ -56,6 +56,10 @@ type Central struct {
 	TL    time.Duration
 	Stats *sched.Stats
 
+	// tileShape is the per-tile Front output shape [1,C,h,w]: every
+	// result must decode to it, and missed tiles are zero-filled at it.
+	tileShape []int
+
 	metrics *Metrics
 	trace   *telemetry.Trace
 	flight  *telemetry.FlightRecorder
@@ -192,13 +196,15 @@ func NewCentral(m *models.Model, conns []Conn, tl time.Duration, gamma float64) 
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("core: central needs at least one conv node")
 	}
-	tiles := m.Opt.Grid.Tiles()
+	g := m.Opt.Grid
+	full := m.FrontOutputShape()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Central{
 		Model:     m,
 		Conns:     conns,
 		TL:        tl,
-		Stats:     sched.NewStats(len(conns), gamma, float64(tiles)/float64(len(conns))),
+		Stats:     sched.NewStats(len(conns), gamma, float64(g.Tiles())/float64(len(conns))),
+		tileShape: []int{1, full[0], full[1] / g.Rows, full[2] / g.Cols},
 		traceBase: uint64(time.Now().UnixNano()) << 20,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -307,13 +313,6 @@ func (c *Central) reviveNode(k int) {
 	if c.metrics != nil {
 		c.metrics.Reconnects.With(nodeLabel(k)).Inc()
 	}
-}
-
-// tileOutShape returns the per-tile Front output shape [1,C,h,w].
-func (c *Central) tileOutShape() []int {
-	full := c.Model.FrontOutputShape()
-	g := c.Model.Opt.Grid
-	return []int{1, full[0], full[1] / g.Rows, full[2] / g.Cols}
 }
 
 // Inflight is one dispatched image whose results are still being
@@ -615,10 +614,9 @@ collect:
 	// Zero-fill missing tiles (paper: "start executing the later layers by
 	// setting the missing input to zero").
 	missed := 0
-	shape := c.tileOutShape()
 	for i := range outTiles {
 		if outTiles[i] == nil {
-			z := tensor.GetTensor(shape...)
+			z := tensor.GetTensor(c.tileShape...)
 			for j := range z.Data {
 				z.Data[j] = 0
 			}

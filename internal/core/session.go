@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -540,6 +542,12 @@ func (s *nodeSession) recvLoop(conn Conn) error {
 		}
 		wire := len(m.Payload)
 		m.ReleasePayload()
+		if derr == nil && !slices.Equal(t.Shape, s.r.c.tileShape) {
+			// A well-formed result of the wrong shape (e.g. a node
+			// running a different model) would panic the back layers.
+			derr = fmt.Errorf("core: result shape %v, want %v", t.Shape, s.r.c.tileShape)
+			tensor.PutTensor(t)
+		}
 		if derr != nil {
 			// An undecodable result is as good as a missed tile: the
 			// image zero-fills it at the deadline.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -28,9 +27,11 @@ import (
 // injected bandwidth collapse, the dispatch audit attributes the
 // resulting reallocation to the link, the SLO engine breaches and the
 // flight dump blames the faulted node, and everything recovers after
-// the heal. Each drill runs on a fresh cluster — real TCP listeners,
-// one NodeServer per node — so crashing a node is closing its socket,
-// not flipping a flag.
+// the heal. Each drill runs on a fresh loopback pool (see
+// loopbackPool), so crashing a node is closing its socket, not
+// flipping a flag. The slownode drill is the repository's gray-failure
+// experiment: it also reports how fast the burn-rate engine detects a
+// straggling node (BreachAtMs − FaultAtMs).
 
 // ChaosBenchConfig parameterizes the schedule; zero values take
 // defaults sized for a ~10s-per-drill run.
@@ -101,8 +102,13 @@ type ChaosDrillResult struct {
 	ThresholdMs   float64 `json:"threshold_ms"`
 	FaultAtMs     float64 `json:"fault_at_ms"`
 	HealAtMs      float64 `json:"heal_at_ms"`
+	WarnAtMs      float64 `json:"warn_at_ms,omitempty"` // first →warn after the fault
 	BreachAtMs    float64 `json:"breach_at_ms,omitempty"`
 	RecoverAtMs   float64 `json:"recover_at_ms,omitempty"`
+
+	InjectedDelayMs float64   `json:"injected_delay_ms,omitempty"` // slownode: SlowFactor × baseline p99
+	PaceMs          float64   `json:"pace_ms,omitempty"`           // slownode: per-image period around the fault
+	HealthAtBreach  []float64 `json:"health_at_breach,omitempty"`  // per-node health scores at the breach
 
 	LinkUpBps       float64 `json:"link_up_bps,omitempty"`       // collapsed uplink estimate under throttle
 	LinkDownBps     float64 `json:"link_down_bps,omitempty"`     // converged downlink estimate under throttle
@@ -206,15 +212,22 @@ func runChaosDrill(cfg ChaosBenchConfig, name string, fn func(*chaosCluster, *Ch
 	return res, nil
 }
 
-// chaosCluster is one drill's live runtime: a Central dialing real TCP
-// listeners, closed-loop traffic, and the calibrated SLO engine.
+// SLOTimedTransition is one engine transition stamped relative to the
+// run clock.
+type SLOTimedTransition struct {
+	AtMs float64 `json:"at_ms"` // since run start
+	telemetry.SLOTransition
+}
+
+// chaosCluster is one drill's live runtime: a Central dialing a
+// loopback pool, closed-loop traffic, and the calibrated SLO engine.
 type chaosCluster struct {
 	cfg    ChaosBenchConfig
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	c      *core.Central
-	nodes  []*chaosNode
+	pool   *loopbackPool
 	met    *core.Metrics
 	flight *telemetry.FlightRecorder
 	engine *telemetry.SLOEngine
@@ -222,6 +235,7 @@ type chaosCluster struct {
 	start  time.Time
 	images atomic.Int64
 	failed atomic.Int64
+	paceNs atomic.Int64 // when >0, at most one image per pace period
 	done   chan struct{}
 
 	mu          sync.Mutex
@@ -240,35 +254,16 @@ func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
 	met := core.NewMetrics(reg)
 	met.Sched.AttachAudit(sched.NewAudit(0, nil))
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cl := &chaosCluster{
-		cfg: cfg, ctx: ctx, cancel: cancel,
-		met: met, done: make(chan struct{}),
-	}
-	fail := func(err error) (*chaosCluster, error) {
-		for _, n := range cl.nodes {
-			n.crash()
-		}
-		cancel()
+	pool, err := startLoopbackPool(m, cfg.Nodes, cfg.BaseDelay)
+	if err != nil {
 		return nil, err
 	}
-
-	conns := make([]core.Conn, cfg.Nodes)
-	for k := 0; k < cfg.Nodes; k++ {
-		n, err := startChaosNode(ctx, k, m, cfg.BaseDelay)
-		if err != nil {
-			return fail(err)
-		}
-		cl.nodes = append(cl.nodes, n)
-		if conns[k], err = n.dial(ctx); err != nil {
-			return fail(err)
-		}
-	}
-	c, err := core.NewCentral(m, conns, 10*time.Second, 0.9)
+	c, err := pool.central(m, 10*time.Second)
 	if err != nil {
-		return fail(err)
+		pool.stop()
+		return nil, err
 	}
-	for k, n := range cl.nodes {
+	for k, n := range pool.nodes {
 		c.SetDialer(k, n.dial)
 	}
 	c.EnableLinkProbes(cfg.ProbeInterval)
@@ -277,19 +272,26 @@ func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
 	// A deep ring: closed-loop traffic emits thousands of tile events
 	// per second, and the crash drill inspects markers recorded a
 	// reconnect-backoff (~1-2s) before the check runs.
-	cl.flight = telemetry.NewFlightRecorder(1 << 15)
-	c.SetFlightRecorder(cl.flight)
-	cl.c = c
-	cl.start = time.Now()
+	flight := telemetry.NewFlightRecorder(1 << 15)
+	c.SetFlightRecorder(flight)
 
-	// Closed-loop traffic until the drill ends. Infer failures are
-	// counted, not fatal: the crash drill asserts the count stays zero,
-	// i.e. redispatch carried every stranded tile.
+	ctx, cancel := context.WithCancel(context.Background())
+	cl := &chaosCluster{
+		cfg: cfg, ctx: ctx, cancel: cancel,
+		c: c, pool: pool, met: met, flight: flight,
+		start: time.Now(), done: make(chan struct{}),
+	}
+
+	// Closed-loop traffic until the drill ends, paced once a drill sets
+	// paceNs. Infer failures are counted, not fatal: the crash drill
+	// asserts the count stays zero, i.e. redispatch carried every
+	// stranded tile.
 	go func() {
 		defer close(cl.done)
 		x := tensor.New(1, 3, 32, 32)
 		x.RandN(rand.New(rand.NewSource(7)), 1)
 		for ctx.Err() == nil {
+			t0 := time.Now()
 			if _, _, err := c.Infer(x); err != nil {
 				if ctx.Err() != nil {
 					return
@@ -299,6 +301,9 @@ func newChaosCluster(cfg ChaosBenchConfig) (*chaosCluster, error) {
 				continue
 			}
 			cl.images.Add(1)
+			if d := time.Duration(cl.paceNs.Load()) - time.Since(t0); d > 0 {
+				wait(ctx, d)
+			}
 		}
 	}()
 	return cl, nil
@@ -339,6 +344,9 @@ func (cl *chaosCluster) calibrate(res *ChaosDrillResult) error {
 
 func (cl *chaosCluster) sinceMs(t time.Time) float64 { return ms(t.Sub(cl.start)) }
 
+// target is the node every drill faults: the pool's last.
+func (cl *chaosCluster) target() *loopbackNode { return cl.pool.nodes[len(cl.pool.nodes)-1] }
+
 // seen reports the first transition into state to at or after afterMs.
 func (cl *chaosCluster) seen(to telemetry.SLOState, afterMs float64) (float64, bool) {
 	cl.mu.Lock()
@@ -372,13 +380,32 @@ func (cl *chaosCluster) settleOK() bool {
 	return ok
 }
 
+// breachDump waits for the SLO-breach flight dump that blames node k.
+// It reports the reason of the matching dump — or, when none blames k,
+// of the latest breach dump ("" when there is none) — and whether k was
+// blamed.
+func (cl *chaosCluster) breachDump(k int) (string, bool) {
+	want := fmt.Sprintf("worst-node=%d", k)
+	reason := ""
+	_, blamed := waitFor(cl.ctx, cl.cfg.Timeout, func() (float64, bool) {
+		for _, d := range cl.flight.Dumps() {
+			if strings.Contains(d.Reason, "slo-breach") {
+				reason = d.Reason
+				if strings.Contains(d.Reason, want) {
+					return 1, true
+				}
+			}
+		}
+		return 0, false
+	})
+	return reason, blamed
+}
+
 func (cl *chaosCluster) stop() {
 	cl.cancel()
 	<-cl.done
 	cl.c.Shutdown()
-	for _, n := range cl.nodes {
-		n.crash()
-	}
+	cl.pool.stop()
 }
 
 // drillBandwidth collapses the last node's link to ThrottleRate and
@@ -393,7 +420,7 @@ func (cl *chaosCluster) stop() {
 // estimates recover.
 func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 	cfg := cl.cfg
-	target := cl.nodes[len(cl.nodes)-1]
+	target := cl.target()
 	rate := float64(cfg.ThrottleRate)
 
 	var healthyUp float64
@@ -435,16 +462,8 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 	res.BreachAtMs = breachAt
 	res.check("slo-breach", breached, "SLO breached %.0fms after the collapse", breachAt-res.FaultAtMs)
 	if breached {
-		wantBlame := fmt.Sprintf("worst-node=%d", target.idx)
-		_, blamed := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-			for _, d := range cl.flight.Dumps() {
-				if strings.Contains(d.Reason, "slo-breach") && strings.Contains(d.Reason, wantBlame) {
-					res.DumpReason = d.Reason
-					return 1, true
-				}
-			}
-			return 0, false
-		})
+		var blamed bool
+		res.DumpReason, blamed = cl.breachDump(target.idx)
 		res.check("flight-blame", blamed, "breach dump blames the throttled node: %q", res.DumpReason)
 	}
 
@@ -502,7 +521,7 @@ func drillBandwidth(cl *chaosCluster, res *ChaosDrillResult) {
 // (redispatch, zero failed images) and reconnected (epoch bump).
 func drillCrash(cl *chaosCluster, res *ChaosDrillResult) {
 	cfg := cl.cfg
-	target := cl.nodes[len(cl.nodes)-1]
+	target := cl.target()
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.crash()
 
@@ -558,7 +577,7 @@ func drillCrash(cl *chaosCluster, res *ChaosDrillResult) {
 // the estimator catches up, never the Central-side latency SLO.
 func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
 	cfg := cl.cfg
-	target := cl.nodes[len(cl.nodes)-1]
+	target := cl.target()
 	skew := float64(cfg.Skew.Nanoseconds())
 
 	_, warm := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
@@ -604,12 +623,25 @@ func drillSkew(cl *chaosCluster, res *ChaosDrillResult) {
 }
 
 // drillSlowNode is the gray-failure schedule: the last node serves
-// tiles SlowFactor× slower, the SLO must breach with the health
-// tracker blaming that node, and recover once it heals.
+// tiles at SlowFactor× the healthy tile p99 — the injected equivalent
+// of a thermally throttled edge device — the SLO must breach with the
+// health tracker blaming that node, and recover once it heals.
+//
+// Traffic is paced first, to one image per 1.5× the injected service
+// time, and a slow window of paced traffic passes before the fault:
+// the image rate then holds through the injection, so the good/bad
+// tile mix inside the burn windows — and with it the detection
+// latency — reflects the SLO engine, not a closed loop slowing down.
 func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
 	cfg := cl.cfg
-	target := cl.nodes[len(cl.nodes)-1]
+	target := cl.target()
 	inject := time.Duration(cfg.SlowFactor * cl.p99 * float64(time.Second))
+	pace := inject + inject/2
+	res.InjectedDelayMs = ms(inject)
+	res.PaceMs = ms(pace)
+	cl.paceNs.Store(int64(pace))
+	wait(cl.ctx, cfg.SlowWindow)
+
 	res.FaultAtMs = cl.sinceMs(time.Now())
 	target.w.SetDelay(inject)
 
@@ -617,21 +649,17 @@ func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
 		return cl.seen(telemetry.SLOBreach, res.FaultAtMs)
 	})
 	res.BreachAtMs = breachAt
-	res.check("slo-breach", breached, "SLO breached %.0fms after the slowdown", breachAt-res.FaultAtMs)
+	res.check("slo-breach", breached,
+		"SLO breached %.0fms after a %.1fms/tile slowdown (two fast windows = %.0fms; paced %.1fms/image)",
+		breachAt-res.FaultAtMs, res.InjectedDelayMs, 2*ms(cfg.FastWindow), res.PaceMs)
 	if breached {
+		res.WarnAtMs, _ = cl.seen(telemetry.SLOWarn, res.FaultAtMs)
+		res.HealthAtBreach = cl.c.Health().Scores()
 		node, score, phase := cl.c.Health().Worst()
 		res.check("health-blame", node == target.idx,
-			"health tracker blames node %d (score %.2f, phase %s)", node, score, phase)
-		wantBlame := fmt.Sprintf("worst-node=%d", target.idx)
-		_, blamed := waitFor(cl.ctx, cfg.Timeout, func() (float64, bool) {
-			for _, d := range cl.flight.Dumps() {
-				if strings.Contains(d.Reason, "slo-breach") && strings.Contains(d.Reason, wantBlame) {
-					res.DumpReason = d.Reason
-					return 1, true
-				}
-			}
-			return 0, false
-		})
+			"health tracker blames node %d (score %.2f, phase %s; scores %.2f)", node, score, phase, res.HealthAtBreach)
+		var blamed bool
+		res.DumpReason, blamed = cl.breachDump(target.idx)
 		res.check("flight-blame", blamed, "breach dump blames the slow node: %q", res.DumpReason)
 	}
 
@@ -644,164 +672,6 @@ func drillSlowNode(cl *chaosCluster, res *ChaosDrillResult) {
 		res.RecoverAtMs = at
 		res.check("slo-recovery", ok, "SLO back to ok %.0fms after the heal", at-res.HealAtMs)
 	}
-}
-
-// chaosNode is one Conv node the harness owns end to end: its worker,
-// its NodeServer, its TCP listener, and a rate cap its server-side
-// connections enforce in both directions.
-type chaosNode struct {
-	idx  int
-	addr string
-	ctx  context.Context
-	w    *core.Worker
-	ns   *core.NodeServer
-	rate atomic.Int64 // bytes/sec cap; 0 = unthrottled
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-}
-
-func startChaosNode(ctx context.Context, idx int, m *models.Model, delay time.Duration) (*chaosNode, error) {
-	w := core.NewWorker(idx+1, m)
-	w.Delay = delay
-	n := &chaosNode{
-		idx: idx, ctx: ctx, w: w,
-		ns:    core.NewNodeServer(w, 0),
-		conns: make(map[net.Conn]struct{}),
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	n.addr = ln.Addr().String()
-	n.serve(ln)
-	return n, nil
-}
-
-// serve installs ln and runs its accept loop until the listener closes.
-func (n *chaosNode) serve(ln net.Listener) {
-	n.mu.Lock()
-	n.ln = ln
-	n.mu.Unlock()
-	go func() {
-		for {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			n.mu.Lock()
-			n.conns[raw] = struct{}{}
-			n.mu.Unlock()
-			go func(raw net.Conn) {
-				_ = n.ns.ServeConn(n.ctx, core.NewStreamConn(&throttledConn{Conn: raw, rate: &n.rate}))
-				raw.Close()
-				n.mu.Lock()
-				delete(n.conns, raw)
-				n.mu.Unlock()
-			}(raw)
-		}
-	}()
-}
-
-// dial opens a fresh Central-side connection; it doubles as the
-// session's reconnect dialer, so a restarted node is found at the same
-// address.
-func (n *chaosNode) dial(ctx context.Context) (core.Conn, error) {
-	d := net.Dialer{Timeout: time.Second}
-	raw, err := d.DialContext(ctx, "tcp", n.addr)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewStreamConn(raw), nil
-}
-
-// crash closes the listener and every live server-side connection,
-// keeping the address so restart revives the node in place.
-func (n *chaosNode) crash() {
-	n.mu.Lock()
-	ln := n.ln
-	n.ln = nil
-	conns := make([]net.Conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// restart re-binds the node's original address (retrying briefly in
-// case the old socket lingers) and resumes accepting.
-func (n *chaosNode) restart() error {
-	var err error
-	for i := 0; i < 50; i++ {
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", n.addr); err == nil {
-			n.serve(ln)
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return err
-}
-
-// throttleChunk is the transfer granularity of a throttled connection:
-// small enough that a collapsed link stays smooth at the drill's rates,
-// large enough that the per-chunk sleep dominates syscall cost.
-const throttleChunk = 512
-
-// throttledConn enforces a bytes/sec cap on both directions of a
-// server-side connection by sleeping after each chunk of I/O — reads
-// model a collapsed uplink (Central→node tasks), writes a collapsed
-// downlink (node→Central results). rate 0 passes through untouched.
-type throttledConn struct {
-	net.Conn
-	rate *atomic.Int64
-}
-
-func (t *throttledConn) Read(p []byte) (int, error) {
-	r := t.rate.Load()
-	if r <= 0 {
-		return t.Conn.Read(p)
-	}
-	if len(p) > throttleChunk {
-		p = p[:throttleChunk]
-	}
-	n, err := t.Conn.Read(p)
-	if n > 0 {
-		time.Sleep(time.Duration(float64(n) / float64(r) * float64(time.Second)))
-	}
-	return n, err
-}
-
-func (t *throttledConn) Write(p []byte) (int, error) {
-	var total int
-	for len(p) > 0 {
-		r := t.rate.Load()
-		if r <= 0 {
-			n, err := t.Conn.Write(p)
-			return total + n, err
-		}
-		c := p
-		if len(c) > throttleChunk {
-			c = c[:throttleChunk]
-		}
-		n, err := t.Conn.Write(c)
-		total += n
-		if n > 0 {
-			time.Sleep(time.Duration(float64(n) / float64(r) * float64(time.Second)))
-		}
-		if err != nil {
-			return total, err
-		}
-		p = p[n:]
-	}
-	return total, nil
 }
 
 // WriteJSON writes the report, indented, to path.
@@ -837,4 +707,25 @@ func (r *ChaosReport) WriteText(w io.Writer) {
 	} else {
 		fprintf(w, "  DRILL FAILURES — see above\n")
 	}
+}
+
+// wait sleeps d or until ctx is done.
+func wait(ctx context.Context, d time.Duration) {
+	select {
+	case <-time.After(d):
+	case <-ctx.Done():
+	}
+}
+
+// waitFor polls cond (10ms cadence) until it reports found, the timeout
+// elapses, or ctx is done.
+func waitFor(ctx context.Context, timeout time.Duration, cond func() (float64, bool)) (float64, bool) {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) && ctx.Err() == nil {
+		if v, ok := cond(); ok {
+			return v, true
+		}
+		wait(ctx, 10*time.Millisecond)
+	}
+	return cond()
 }

@@ -45,3 +45,101 @@ func TestChaosBenchReducedSchedule(t *testing.T) {
 		t.Error("reduced chaos schedule did not pass")
 	}
 }
+
+// TestChaosBenchSlowNode runs the gray-failure drill alone at reduced
+// window sizes and asserts its acceptance criteria: the breach fires
+// within two fast-window periods of the injection, the health scorer
+// ranks the injected node worst, and the objective recovers after the
+// node heals.
+//
+// The hard invariants (breach fires, flight ring dumps, recovery) must
+// hold on every attempt. The two timing-sensitive criteria — detection
+// latency and worst-node attribution — get retries, and if every
+// attempt shows the healthy nodes scoring anomalous too (the signature
+// of an oversubscribed host, e.g. `go test ./...` running every other
+// package in parallel beside this one), the run is inconclusive about
+// the engine rather than a failure of it, and the test skips.
+func TestChaosBenchSlowNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second live-cluster drill")
+	}
+	const attempts = 3
+	var rep *ChaosReport
+	var d ChaosDrillResult
+	var detectionMs float64
+	var withinTwoFast, attributed bool
+	for i := 0; i < attempts; i++ {
+		var err error
+		rep, err = ChaosBench(ChaosBenchConfig{
+			FastWindow: 500 * time.Millisecond,
+			SlowWindow: 1500 * time.Millisecond,
+			Drills:     []string{"slownode"},
+		})
+		if err != nil {
+			t.Fatalf("ChaosBench: %v", err)
+		}
+		var sb strings.Builder
+		rep.WriteText(&sb)
+		t.Logf("attempt %d report:\n%s", i+1, sb.String())
+		d = rep.Drills[0]
+
+		// Hard invariants: load can stretch the timeline, but the breach
+		// machinery itself must work.
+		if d.BreachAtMs == 0 {
+			t.Fatal("SLO never breached after the slow-node injection")
+		}
+		if d.RecoverAtMs == 0 {
+			t.Error("SLO never recovered after the node healed")
+		}
+		if d.DumpReason == "" {
+			t.Error("breach should have dumped the flight recorder")
+		}
+		if d.BaselineP99Ms <= 0 || d.ThresholdMs <= d.BaselineP99Ms {
+			t.Errorf("threshold %.2fms should sit above baseline p99 %.2fms",
+				d.ThresholdMs, d.BaselineP99Ms)
+		}
+		if len(d.Transitions) < 2 {
+			t.Errorf("expected at least breach+recovery transitions, got %v", d.Transitions)
+		}
+		detectionMs = d.BreachAtMs - d.FaultAtMs
+		withinTwoFast = detectionMs <= 2*rep.FastWindowMs
+		attributed = checkOK(d, "health-blame") && checkOK(d, "flight-blame")
+		if withinTwoFast && attributed {
+			return
+		}
+		t.Logf("attempt %d: detection %.0fms (bound %.0fms), injected node attributed worst: %v — retrying",
+			i+1, detectionMs, 2*rep.FastWindowMs, attributed)
+	}
+	// Every attempt missed the timing/attribution bar. If the healthy
+	// nodes also scored anomalous, the host was contended and the run
+	// says nothing about the engine.
+	injected := rep.Nodes - 1
+	anomalousHealthy := 0
+	for n, h := range d.HealthAtBreach {
+		if n != injected && h > 1 {
+			anomalousHealthy++
+		}
+	}
+	if anomalousHealthy >= 2 {
+		t.Skipf("host too contended for timing assertions: %d healthy nodes scored anomalous at breach (scores %v)",
+			anomalousHealthy, d.HealthAtBreach)
+	}
+	if !withinTwoFast {
+		t.Errorf("detection latency %.0fms exceeds two fast windows (%.0fms)",
+			detectionMs, 2*rep.FastWindowMs)
+	}
+	if !attributed {
+		t.Errorf("injected node %d not ranked worst at breach (scores %v, dump %q)",
+			injected, d.HealthAtBreach, d.DumpReason)
+	}
+}
+
+// checkOK reports whether the drill holds a passing check named name.
+func checkOK(d ChaosDrillResult, name string) bool {
+	for _, c := range d.Checks {
+		if c.Name == name {
+			return c.OK
+		}
+	}
+	return false
+}

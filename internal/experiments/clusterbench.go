@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"sync"
@@ -73,75 +72,15 @@ type ClusterBenchReport struct {
 	Imbalance   ClusterImbalance `json:"imbalance"`
 }
 
-// clusterPool starts n Conv nodes on loopback TCP, each a NodeServer
-// over one worker whose simulated device takes delay per tile — the
-// shared pool every replica dials into. stop closes the listeners and
-// waits for every session goroutine.
-func clusterPool(opt models.Options, n int, delay time.Duration) (addrs []string, stop func(), err error) {
-	m, err := models.Build(models.VGGSim(), opt, 42)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var lns []net.Listener
-	for i := 0; i < n; i++ {
-		w := core.NewWorker(i+1, m)
-		w.Delay = delay
-		ns := core.NewNodeServer(w, 0)
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			cancel()
-			for _, l := range lns {
-				l.Close()
-			}
-			return nil, nil, lerr
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-		wg.Add(1)
-		go func(ln net.Listener, ns *core.NodeServer) {
-			defer wg.Done()
-			for {
-				conn, aerr := ln.Accept()
-				if aerr != nil {
-					return
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = ns.ServeConn(ctx, core.NewStreamConn(conn))
-				}()
-			}
-		}(ln, ns)
-	}
-	stop = func() {
-		cancel()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		wg.Wait()
-	}
-	return addrs, stop, nil
-}
-
-// dialCluster builds a cluster of replicas over the pool at addrs, each
-// replica with its own TCP connections and model instance.
-func dialCluster(addrs []string, opt models.Options, replicas int) (*core.Cluster, error) {
+// dialCluster builds a cluster of replicas over pool, each replica
+// with its own TCP connections and model instance.
+func dialCluster(pool *loopbackPool, opt models.Options, replicas int) (*core.Cluster, error) {
 	build := func(int) (*core.Central, error) {
 		m, err := models.Build(models.VGGSim(), opt, 42)
 		if err != nil {
 			return nil, err
 		}
-		conns := make([]core.Conn, len(addrs))
-		for i, a := range addrs {
-			nc, derr := net.Dial("tcp", a)
-			if derr != nil {
-				return nil, derr
-			}
-			conns[i] = core.NewStreamConn(nc)
-		}
-		return core.NewCentral(m, conns, 2*time.Second, 0.9)
+		return pool.central(m, 2*time.Second)
 	}
 	return core.NewCluster(build, core.ClusterOptions{
 		Replicas: replicas, Depth: 1, RebalanceEvery: 100 * time.Millisecond,
@@ -325,13 +264,17 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		Depth:       1,
 	}
 
-	addrs, stopPool, err := clusterPool(opt, nodes, tileDelay)
+	m, err := models.Build(models.VGGSim(), opt, 42)
 	if err != nil {
 		return nil, err
 	}
-	defer stopPool()
+	pool, err := startLoopbackPool(m, nodes, tileDelay)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.stop()
 
-	cl1, err := dialCluster(addrs, opt, 1)
+	cl1, err := dialCluster(pool, opt, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +284,7 @@ func ClusterBench(images int) (*ClusterBenchReport, error) {
 		return nil, err
 	}
 
-	cl2, err := dialCluster(addrs, opt, 2)
+	cl2, err := dialCluster(pool, opt, 2)
 	if err != nil {
 		return nil, err
 	}
