@@ -9,6 +9,7 @@ import (
 
 	"adcnn/internal/fdsp"
 	"adcnn/internal/models"
+	"adcnn/internal/nn"
 	"adcnn/internal/quant"
 	"adcnn/internal/sched"
 	"adcnn/internal/telemetry"
@@ -73,6 +74,9 @@ type Central struct {
 	inflight atomic.Int64 // images dispatched, Wait not finished
 	mu       sync.Mutex   // guards Stats, share, and allocation
 	backMu   sync.Mutex   // serializes the back-layer compute stage
+	// backPlan is the compiled Back stage; its arena (input slot
+	// included) is guarded by backMu.
+	backPlan *nn.Plan
 
 	// share scales each node's measured speed in the allocator: the
 	// cluster partitioner's per-replica capacity share (nil = this
@@ -198,9 +202,14 @@ func NewCentral(m *models.Model, conns []Conn, tl time.Duration, gamma float64) 
 	}
 	g := m.Opt.Grid
 	full := m.FrontOutputShape()
+	backPlan, err := m.BackPlan()
+	if err != nil {
+		return nil, fmt.Errorf("core: central: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Central{
 		Model:     m,
+		backPlan:  backPlan,
 		Conns:     conns,
 		TL:        tl,
 		Stats:     sched.NewStats(len(conns), gamma, float64(g.Tiles())/float64(len(conns))),
@@ -641,18 +650,10 @@ collect:
 	// compressed result paths), so the merged tensor feeds Back directly.
 	// The Central's compute stage is one resource: concurrent in-flight
 	// images run it in turn, which is exactly the pipeline's third stage.
-	merged := fdsp.Reassemble(outTiles, c.Model.Opt.Grid)
-	// Reassemble copies every tile into the merged tensor, so the
-	// pool-backed per-tile buffers (decoded results and zero fills alike)
-	// can go home immediately.
-	for _, t := range outTiles {
-		tensor.PutTensor(t)
+	out, err := c.backForward(outTiles, h)
+	if err != nil {
+		return nil, InferStats{Latency: time.Since(h.start), TraceID: h.traceID}, err
 	}
-	c.backMu.Lock()
-	backSpan := tr.Begin("back", "central", 0)
-	out := c.Model.Back.Forward(merged, false)
-	backSpan.End(map[string]any{"image": h.img, "trace_id": TraceIDString(h.traceID)})
-	c.backMu.Unlock()
 
 	latency := time.Since(h.start)
 	c.mu.Lock()
@@ -675,6 +676,32 @@ collect:
 		TraceID:     h.traceID,
 		Breakdown:   breakdown,
 	}, nil
+}
+
+// backForward is image h's back stage: under backMu it reassembles the
+// tiles straight into the back plan's input slot, runs the plan, and
+// copies out the output — with tracing off, the stage's only
+// allocation. Reassembly copies every tile, so the pool-backed per-tile
+// buffers (decoded results and zero fills alike) go home here.
+func (c *Central) backForward(tiles []*tensor.Tensor, h *Inflight) (*tensor.Tensor, error) {
+	c.backMu.Lock()
+	span := c.trace.Begin("back", "central", 0)
+	err := fdsp.ReassembleInto(c.backPlan.Input(), tiles, c.Model.Opt.Grid)
+	var out *tensor.Tensor
+	if err == nil {
+		out = c.backPlan.Run().Clone()
+	}
+	if c.trace != nil {
+		span.End(map[string]any{"image": h.img, "trace_id": TraceIDString(h.traceID)})
+	}
+	c.backMu.Unlock()
+	for _, t := range tiles {
+		tensor.PutTensor(t)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: back stage: %w", err)
+	}
+	return out, nil
 }
 
 // tracePhases merges the Conv node's side of a tile's journey into the

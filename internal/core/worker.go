@@ -11,6 +11,7 @@ import (
 
 	"adcnn/internal/compress"
 	"adcnn/internal/models"
+	"adcnn/internal/nn"
 	"adcnn/internal/quant"
 	"adcnn/internal/telemetry"
 	"adcnn/internal/tensor"
@@ -161,16 +162,19 @@ func (ns *NodeServer) Sessions() []WorkerSessionDebug {
 	return out
 }
 
-// pace charges the shared device pacer for one task and sleeps until the
-// device frees up. Back-to-back tasks — from any session — chain off the
-// previous release time, so the node's simulated capacity is one
-// resource no matter how many Centrals are attached (see the Delay
-// comment in the compute loop for why a plain sleep would be wrong).
-func (ns *NodeServer) pace(ctx context.Context, delay time.Duration) bool {
-	now := time.Now()
+// pace charges the shared device pacer for one task that arrived at
+// arrived and sleeps until the device frees up. Back-to-back tasks —
+// from any session — chain off the previous release time, so the node's
+// simulated capacity is one resource no matter how many Centrals are
+// attached (see the Delay comment in the compute loop for why a plain
+// sleep would be wrong). A task that arrived while the device was busy
+// starts at the previous release, not when this goroutine got to it, so
+// timer overshoot and compute time do not stretch a backlogged device's
+// rate below 1/delay.
+func (ns *NodeServer) pace(ctx context.Context, delay time.Duration, arrived time.Time) bool {
 	ns.mu.Lock()
-	if ns.nextFree.Before(now) {
-		ns.nextFree = now
+	if ns.nextFree.Before(arrived) {
+		ns.nextFree = arrived
 	}
 	ns.nextFree = ns.nextFree.Add(delay)
 	rem := time.Until(ns.nextFree)
@@ -220,6 +224,10 @@ type workerSession struct {
 
 	tilesDone atomic.Uint64
 	taskCtr   *telemetry.Counter // nil disables
+
+	// plans caches the compiled Front plan per tile shape; only the
+	// compute loop touches it.
+	plans map[[4]int]*nn.Plan
 }
 
 // ServeConn runs one Central session over conn until the context is
@@ -240,6 +248,7 @@ func (ns *NodeServer) ServeConn(ctx context.Context, conn Conn) error {
 		tasks:   make(chan *workerTask, ns.queue),
 		dead:    make(chan struct{}),
 		started: time.Now(),
+		plans:   make(map[[4]int]*nn.Plan),
 	}
 	if met != nil {
 		s.taskCtr = met.WorkerTasks.With(nodeLabel(w.ID))
@@ -424,7 +433,7 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		// shows up in the timing record as queue time, like a busy real
 		// device — and so does any wait in the bounded task queue itself.
 		if delay := w.tileDelay(); delay > 0 {
-			if !s.ns.pace(ctx, delay) {
+			if !s.ns.pace(ctx, delay, t.start) {
 				putWorkerTask(t)
 				return nil
 			}
@@ -438,9 +447,9 @@ func (s *workerSession) computeLoop(ctx context.Context) error {
 		var compressed, quantized bool
 		var err error
 		if t.quantized {
-			out, compressed, quantized, err = w.computeEncodeLevels(t.qt, t.x, &t.tm, encBuf)
+			out, compressed, quantized, err = s.computeEncodeLevels(t.qt, &t.tm, encBuf)
 		} else {
-			out, compressed, quantized, err = w.computeEncode(t.x, &t.tm, encBuf)
+			out, compressed, quantized, err = s.computeEncode(t.x, &t.tm, encBuf)
 		}
 		if err != nil {
 			putWorkerTask(t)
@@ -483,36 +492,77 @@ func (s *workerSession) fail(err error) error {
 	return err
 }
 
-// computeEncode runs one decoded tile through Front + Boundary and
-// encodes the result into buf (a pooled scratch buffer the caller reuses
-// across tiles; too small and it is swapped for a bigger pooled one),
-// stamping the compute-done and encode-done marks into the timing
-// record. The returned slice is the (possibly replaced) buffer — the
-// caller must retain it as the next call's buf. The two flags report
-// how the payload is encoded: boundary-codec compressed, or quantized
-// uint8 levels (mutually exclusive).
-func (w *Worker) computeEncode(x *tensor.Tensor, tm *ConvTiming, buf []byte) ([]byte, bool, bool, error) {
-	return w.boundaryEncode(w.Model.Front.Forward(x, false), tm, buf)
+// maxSessionPlans bounds a session's plan cache. A deployment sends one
+// tile shape per grid row/column size, so a handful of entries covers
+// it; a peer cycling through shapes only recompiles.
+const maxSessionPlans = 8
+
+// plan returns the session's compiled Front(+clip) plan for input tiles
+// of the given shape, compiling it on first use. The plan's arena is the
+// session's own: concurrent sessions on one NodeServer share nothing
+// mutable. A shape the model cannot take is an error, not a panic.
+func (s *workerSession) plan(shape []int) (*nn.Plan, error) {
+	if len(shape) != 4 {
+		return nil, fmt.Errorf("tile shape %v is not [N C H W]", shape)
+	}
+	key := [4]int(shape)
+	if p, ok := s.plans[key]; ok {
+		return p, nil
+	}
+	p, err := s.ns.w.Model.FrontPlan(shape)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.plans) >= maxSessionPlans {
+		clear(s.plans)
+	}
+	s.plans[key] = p
+	return p, nil
+}
+
+// computeEncode runs one decoded tile through the session's Front plan,
+// whose last step is the boundary clip, and encodes the result into buf
+// (a pooled scratch buffer the caller reuses across tiles; too small and
+// it is swapped for a bigger pooled one), stamping the compute-done and
+// encode-done marks into the timing record. The returned slice is the
+// (possibly replaced) buffer — the caller must retain it as the next
+// call's buf. The two flags report how the payload is encoded:
+// boundary-codec compressed, or quantized uint8 levels (mutually
+// exclusive).
+func (s *workerSession) computeEncode(x *tensor.Tensor, tm *ConvTiming, buf []byte) ([]byte, bool, bool, error) {
+	p, err := s.plan(x.Shape)
+	if err != nil {
+		return buf[:0], false, false, err
+	}
+	return s.ns.w.boundaryEncode(p.Forward(x), tm, buf)
 }
 
 // computeEncodeLevels runs one quantized tile. When the model's front
 // opens with an int8-enabled plain convolution, the decoded levels feed
-// its quantized GEMM directly — the no-dequant fast path of the int8
-// operating mode. Otherwise (residual-entry front, or a worker that
-// never called QuantizeInt8) the tile is dequantized into x and takes
-// the ordinary f32 path, so a mixed deployment still computes correctly.
-func (w *Worker) computeEncodeLevels(q *QuantTile, x *tensor.Tensor, tm *ConvTiming, buf []byte) ([]byte, bool, bool, error) {
-	if len(q.Shape) == 4 && q.Shape[0] == 1 {
-		if y, ok := w.Model.ForwardFrontLevels(q.Levels, q.Shape[1], q.Shape[2], q.Shape[3], q.Affine); ok {
-			return w.boundaryEncode(y, tm, buf)
-		}
+// its quantized GEMM directly through the plan's levels entry — the
+// no-dequant fast path of the int8 operating mode. Otherwise (residual-
+// entry front, or a worker that never called QuantizeInt8) the tile is
+// dequantized into the plan's input and runs the ordinary plan, so a
+// mixed deployment still computes correctly.
+func (s *workerSession) computeEncodeLevels(q *QuantTile, tm *ConvTiming, buf []byte) ([]byte, bool, bool, error) {
+	p, err := s.plan(q.Shape)
+	if err != nil {
+		return buf[:0], false, false, err
 	}
-	q.DequantizeInto(x)
-	return w.computeEncode(x, tm, buf)
+	var y *tensor.Tensor
+	if p.LevelsOK() && q.Shape[0] == 1 {
+		y = p.RunLevels(q.Levels, q.Affine)
+	} else {
+		in := p.Input()
+		tensor.DequantizeAffineSlice(in.Data, q.Levels, q.Affine.Scale, q.Affine.Zero)
+		y = p.Run()
+	}
+	return s.ns.w.boundaryEncode(y, tm, buf)
 }
 
-// boundaryEncode applies the boundary ops to a Front output and encodes
-// the result into buf (pooled, reused across tiles — see computeEncode).
+// boundaryEncode encodes a Front plan's output — already clipped when
+// the model clips — into buf (pooled, reused across tiles — see
+// computeEncode).
 // Encoding preference: the boundary codec when the model clips and
 // quantizes the boundary; otherwise, in the int8 operating mode, the
 // result ships as uint8 affine levels (levels-native downlink — Central
@@ -521,14 +571,8 @@ func (w *Worker) computeEncodeLevels(q *QuantTile, x *tensor.Tensor, tm *ConvTim
 // finite affine (NaN/Inf activations).
 func (w *Worker) boundaryEncode(y *tensor.Tensor, tm *ConvTiming, buf []byte) ([]byte, bool, bool, error) {
 	opt := w.Model.Opt
-	clipped := opt.Clipped()
-	if clipped {
-		// The boundary's clipped ReLU runs on the Conv node so the result
-		// is sparse before encoding.
-		y = w.Model.Boundary.Layers[0].Forward(y, false)
-	}
 	tm.ComputeEndNs = w.now()
-	if clipped && opt.QuantBits > 0 {
+	if opt.Clipped() && opt.QuantBits > 0 {
 		p := compress.NewPipeline(opt.QuantBits, opt.ClipHi-opt.ClipLo)
 		// Pre-size to the worst case so the fused encoder never grows the
 		// buffer mid-scan; at steady state the same buffer serves every tile.

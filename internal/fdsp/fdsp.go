@@ -163,49 +163,84 @@ func CropCenter(x *tensor.Tensor, margin int) *tensor.Tensor {
 // into one [1,C,H,W] map. Tiles in the same grid row must share a height
 // and tiles in the same grid column must share a width; this holds
 // whenever the per-tile network applies a uniform downsampling factor.
+// It panics on tiles that break that rule; ReassembleInto reports them
+// as an error instead.
 func Reassemble(tiles []*tensor.Tensor, g Grid) *tensor.Tensor {
-	if len(tiles) != g.Tiles() {
-		panic(fmt.Sprintf("fdsp: %d tiles for grid %v", len(tiles), g))
+	c, h, w, err := reassembledShape(tiles, g)
+	if err != nil {
+		panic(err.Error())
 	}
-	c := tiles[0].Shape[1]
-	rowH := make([]int, g.Rows)
-	colW := make([]int, g.Cols)
+	out := tensor.New(1, c, h, w)
+	if err := ReassembleInto(out, tiles, g); err != nil {
+		panic(err.Error())
+	}
+	return out
+}
+
+// reassembledShape validates the tiles of grid g and returns the merged
+// map's channels, height and width: tile (r, cc) must be [1, C, rowH(r),
+// colW(cc)], where rowH(r) is the height of the first tile in row r and
+// colW(cc) the width of the first tile in column cc.
+func reassembledShape(tiles []*tensor.Tensor, g Grid) (c, h, w int, err error) {
+	if g.Rows <= 0 || g.Cols <= 0 || len(tiles) != g.Tiles() {
+		return 0, 0, 0, fmt.Errorf("fdsp: %d tiles for grid %v", len(tiles), g)
+	}
+	for i, t := range tiles {
+		if t == nil || t.Rank() != 4 || t.Shape[0] != 1 || len(t.Data) != tensor.Volume(t.Shape) {
+			return 0, 0, 0, fmt.Errorf("fdsp: tile %d is not a [1 C H W] map", i)
+		}
+	}
+	c = tiles[0].Shape[1]
 	for r := 0; r < g.Rows; r++ {
-		rowH[r] = tiles[r*g.Cols].Shape[2]
+		h += tiles[r*g.Cols].Shape[2]
 	}
 	for cc := 0; cc < g.Cols; cc++ {
-		colW[cc] = tiles[cc].Shape[3]
+		w += tiles[cc].Shape[3]
 	}
-	totalH, totalW := 0, 0
-	for _, h := range rowH {
-		totalH += h
+	for r := 0; r < g.Rows; r++ {
+		for cc := 0; cc < g.Cols; cc++ {
+			t := tiles[r*g.Cols+cc]
+			rowH, colW := tiles[r*g.Cols].Shape[2], tiles[cc].Shape[3]
+			if t.Shape[1] != c || t.Shape[2] != rowH || t.Shape[3] != colW {
+				return 0, 0, 0, fmt.Errorf("fdsp: tile (%d,%d) shape %v inconsistent with channels %d, row height %d, col width %d",
+					r, cc, t.Shape, c, rowH, colW)
+			}
+		}
 	}
-	for _, w := range colW {
-		totalW += w
+	return c, h, w, nil
+}
+
+// ReassembleInto is Reassemble writing into dst, which must already have
+// the merged shape [1, C, H, W]. A tile of the wrong shape, or a dst
+// that does not fit the tiles, is an error and dst is left untouched.
+// It does not allocate on success.
+func ReassembleInto(dst *tensor.Tensor, tiles []*tensor.Tensor, g Grid) error {
+	c, totalH, totalW, err := reassembledShape(tiles, g)
+	if err != nil {
+		return err
 	}
-	out := tensor.New(1, c, totalH, totalW)
+	if dst.Rank() != 4 || dst.Shape[0] != 1 || dst.Shape[1] != c || dst.Shape[2] != totalH ||
+		dst.Shape[3] != totalW || len(dst.Data) != c*totalH*totalW {
+		return fmt.Errorf("fdsp: reassembly target %v, tiles make [1 %d %d %d]", dst.Shape, c, totalH, totalW)
+	}
 	y := 0
 	for r := 0; r < g.Rows; r++ {
 		x := 0
 		for cc := 0; cc < g.Cols; cc++ {
 			t := tiles[r*g.Cols+cc]
-			if t.Shape[1] != c || t.Shape[2] != rowH[r] || t.Shape[3] != colW[cc] {
-				panic(fmt.Sprintf("fdsp: tile (%d,%d) shape %v inconsistent with row height %d / col width %d",
-					r, cc, t.Shape, rowH[r], colW[cc]))
-			}
 			th, tw := t.Shape[2], t.Shape[3]
 			for ch := 0; ch < c; ch++ {
 				for ty := 0; ty < th; ty++ {
 					srcOff := ch*th*tw + ty*tw
 					dstOff := ch*totalH*totalW + (y+ty)*totalW + x
-					copy(out.Data[dstOff:dstOff+tw], t.Data[srcOff:srcOff+tw])
+					copy(dst.Data[dstOff:dstOff+tw], t.Data[srcOff:srcOff+tw])
 				}
 			}
 			x += tw
 		}
-		y += rowH[r]
+		y += tiles[r*g.Cols].Shape[2]
 	}
-	return out
+	return nil
 }
 
 // SplitBatch rearranges [N,C,H,W] into [N*T,C,H/R,W/C] so the separable

@@ -104,6 +104,51 @@ func TestExtractReassembleNonDivisible(t *testing.T) {
 	}
 }
 
+// TestReassembleIntoRejectsBadTiles: a tile of the wrong shape, a
+// missing tile, or a target that does not fit is an error, never a
+// panic, and leaves the target untouched; well-formed tiles reassemble
+// exactly as Reassemble does.
+func TestReassembleIntoRejectsBadTiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := tensor.New(1, 2, 8, 8)
+	x.RandN(rng, 1)
+	g := Grid{Rows: 2, Cols: 2}
+	layout := g.Layout(8, 8)
+	parts := func() []*tensor.Tensor {
+		ps := make([]*tensor.Tensor, len(layout))
+		for i, tl := range layout {
+			ps[i] = ExtractTile(x, tl)
+		}
+		return ps
+	}
+	dst := tensor.New(1, 2, 8, 8)
+	if err := ReassembleInto(dst, parts(), g); err != nil || !dst.Equal(x, 0) {
+		t.Fatalf("well-formed tiles: err=%v, equal=%v", err, dst.Equal(x, 0))
+	}
+	for name, mutate := range map[string]func([]*tensor.Tensor) []*tensor.Tensor{
+		"wrong width":    func(ps []*tensor.Tensor) []*tensor.Tensor { ps[3] = tensor.New(1, 2, 4, 3); return ps },
+		"wrong channels": func(ps []*tensor.Tensor) []*tensor.Tensor { ps[1] = tensor.New(1, 3, 4, 4); return ps },
+		"wrong rank":     func(ps []*tensor.Tensor) []*tensor.Tensor { ps[0] = tensor.New(2, 4, 4); return ps },
+		"nil tile":       func(ps []*tensor.Tensor) []*tensor.Tensor { ps[2] = nil; return ps },
+		"too few tiles":  func(ps []*tensor.Tensor) []*tensor.Tensor { return ps[:3] },
+	} {
+		dst.Fill(7)
+		err := ReassembleInto(dst, mutate(parts()), g)
+		if err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		for _, v := range dst.Data {
+			if v != 7 {
+				t.Errorf("%s: target written before the error", name)
+				break
+			}
+		}
+	}
+	if err := ReassembleInto(tensor.New(1, 2, 8, 6), parts(), g); err == nil {
+		t.Error("target of the wrong shape: no error")
+	}
+}
+
 func TestSplitMergeBatchRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,15 +1,11 @@
 package models
 
 // Int8 operating mode for a built model: per-channel weight quantization
-// across all Front and Back blocks, plus the levels-entry fast path the
-// Conv worker uses to feed decoded wire payloads straight into the first
-// convolution's int8 activation buffer.
+// across all Front and Back blocks. The levels-entry fast path the Conv
+// worker uses to feed decoded wire payloads straight into the first
+// convolution's int8 activation buffer is the front plan's RunLevels.
 
-import (
-	"adcnn/internal/nn"
-	"adcnn/internal/quant"
-	"adcnn/internal/tensor"
-)
+import "adcnn/internal/nn"
 
 // QuantizeInt8 snapshots int8 weights on every Conv2D and Linear in the
 // model, enabling quantized inference. It walks Front, Boundary and Back
@@ -56,39 +52,9 @@ func (m *Model) frontEntryConv() (*nn.Conv2D, bool) {
 }
 
 // Int8InputOK reports whether the model can consume quantized input
-// tiles via ForwardFrontLevels: the front must open with a plain Conv2D
-// that has an int8 snapshot.
+// tiles through the front plan's levels entry (nn.Plan.RunLevels): the
+// front must open with a plain Conv2D that has an int8 snapshot.
 func (m *Model) Int8InputOK() bool {
 	conv, ok := m.frontEntryConv()
 	return ok && conv.Int8()
-}
-
-// ForwardFrontLevels runs the Front stack on a single input tile whose
-// activations arrive as uint8 affine levels (a decoded quantized wire
-// payload) of shape [c, h, w]. The entry convolution consumes the
-// levels directly through its int8 GEMM — no dequant→f32→requant round
-// trip on the boundary tensor — and the remaining Front layers continue
-// in their configured mode. Returns (nil, false) when the model cannot
-// take the levels entry (see Int8InputOK) or the shape does not match
-// the entry convolution; the caller then dequantizes and runs the
-// ordinary f32 Front.
-func (m *Model) ForwardFrontLevels(levels []uint8, c, h, w int, af quant.Affine) (*tensor.Tensor, bool) {
-	conv, ok := m.frontEntryConv()
-	if !ok || !conv.Int8() {
-		return nil, false
-	}
-	if c != conv.InC || h <= 0 || w <= 0 || len(levels) != c*h*w {
-		return nil, false
-	}
-	oh, ow := conv.Geom.OutSize(h, w)
-	cur := tensor.New(1, conv.OutC, oh, ow)
-	conv.ForwardLevelsInto(cur, levels, h, w, af)
-	block0 := m.Front.Layers[0].(*nn.Sequential)
-	for _, l := range block0.Layers[1:] {
-		cur = l.Forward(cur, false)
-	}
-	for _, l := range m.Front.Layers[1:] {
-		cur = l.Forward(cur, false)
-	}
-	return cur, true
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"adcnn/internal/nn"
 	"adcnn/internal/quant"
 	"adcnn/internal/tensor"
 )
@@ -52,17 +53,19 @@ func TestModelQuantizeInt8(t *testing.T) {
 	}
 }
 
-// TestForwardFrontLevels: feeding pre-quantized input levels through the
-// models-level entry must match running the int8 Front on the dequantized
-// f32 input within the input quantization error propagated through the
-// entry conv (both paths share the int8 engine past layer 1, so the only
-// divergence is entry-conv input quantization — bit-exact here because
-// the f32 path re-quantizes to the very same levels).
+// TestForwardFrontLevels: the front plan's levels entry (what the Conv
+// worker runs on a quantized tile) is bit-identical to the public-kernel
+// chain it replaces — Conv2D.ForwardLevelsInto on the entry conv, then
+// every later layer's Forward — and stays within the input quantization
+// error of dequantize-then-plan. That second comparison cannot be exact:
+// the f32 path re-derives the affine from the dequantized tile's range,
+// which may shift the grid by one step.
 func TestForwardFrontLevels(t *testing.T) {
 	m, err := Build(VGGSim(), Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	randomizeStats(m, rand.New(rand.NewSource(5)))
 	if _, err := m.QuantizeInt8(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,23 +80,34 @@ func TestForwardFrontLevels(t *testing.T) {
 	levels := make([]uint8, x.Len())
 	tensor.QuantizeAffineSlice(levels, x.Data, af.InvScale(), af.Zero)
 
-	got, ok := m.ForwardFrontLevels(levels, 3, 32, 32, af)
-	if !ok {
-		t.Fatal("ForwardFrontLevels refused a plain-conv-entry model")
+	plan, err := m.FrontPlan(x.Shape)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := m.ForwardFrontLevels(levels, 4, 32, 32, af); ok {
-		t.Fatal("ForwardFrontLevels accepted a channel-count mismatch")
+	if !plan.LevelsOK() {
+		t.Fatal("plan refused the levels entry of a plain-conv-entry model")
 	}
+	if _, err := m.FrontPlan([]int{1, 4, 32, 32}); err == nil {
+		t.Fatal("FrontPlan accepted a channel-count mismatch")
+	}
+	got := plan.RunLevels(levels, af).Clone()
 
-	// Oracle: dequantize the levels and run the regular (int8-enabled)
-	// Front. Its entry conv re-quantizes the dequantized input with the
-	// same affine extents, reproducing the same levels, so the two paths
-	// should agree almost exactly; the dynamic affine recomputed from the
-	// dequantized tensor may differ by one grid step, hence the small
-	// tolerance.
+	// Reference: the levels entry through public per-layer calls.
+	block0 := m.Front.Layers[0].(*nn.Sequential)
+	conv := block0.Layers[0].(*nn.Conv2D)
+	ref := tensor.New(1, conv.OutC, 32, 32)
+	conv.ForwardLevelsInto(ref, levels, 32, 32, af)
+	for _, l := range block0.Layers[1:] {
+		ref = l.Forward(ref, false)
+	}
+	for _, l := range m.Front.Layers[1:] {
+		ref = l.Forward(ref, false)
+	}
+	assertBitEqual(t, "levels entry vs per-layer chain", got, ref)
+
 	xd := tensor.New(1, 3, 32, 32)
 	tensor.DequantizeAffineSlice(xd.Data, levels, af.Scale, af.Zero)
-	want := m.Front.Forward(xd, false)
+	want := plan.Forward(xd)
 	if got.Len() != want.Len() {
 		t.Fatalf("shape mismatch: %v vs %v", got.Shape, want.Shape)
 	}
@@ -106,7 +120,8 @@ func TestForwardFrontLevels(t *testing.T) {
 
 // TestForwardFrontLevelsResidualEntry: residual-entry models cannot take
 // the levels fast path (ResNetSim opens with a plain stem conv, so build
-// a front that starts at a residual block instead).
+// a front that starts at a residual block instead): the projection
+// shortcut reads the same input as the body.
 func TestForwardFrontLevelsResidualEntry(t *testing.T) {
 	cfg := ResNetSim()
 	// Drop the stem so the first separable block is residual.
@@ -123,8 +138,11 @@ func TestForwardFrontLevelsResidualEntry(t *testing.T) {
 	if m.Int8InputOK() {
 		t.Fatal("residual-entry front must not report Int8InputOK")
 	}
-	af := quant.Affine{Scale: 1, Zero: 0}
-	if _, ok := m.ForwardFrontLevels(make([]uint8, 12*32*32), 12, 32, 32, af); ok {
-		t.Fatal("ForwardFrontLevels must refuse a residual-entry front")
+	plan, err := m.FrontPlan([]int{1, 12, 32, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.LevelsOK() {
+		t.Fatal("residual-entry front plan must refuse the levels entry")
 	}
 }

@@ -18,18 +18,26 @@ func NewReLU(label string) *ReLU { return &ReLU{label: label} }
 // Forward computes max(0, x).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape...)
+	reluInto(y.Data, x.Data)
 	if train {
 		r.mask = make([]bool, len(x.Data))
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
+		for i, v := range x.Data {
+			r.mask[i] = v > 0
 		}
 	}
 	return y
+}
+
+// reluInto is the ReLU inference kernel, shared with the compiled plan's
+// epilogue. dst may alias src.
+func reluInto(dst, src []float32) {
+	for i, v := range src {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
 }
 
 // Backward zeroes the gradient where the forward input was non-positive.
@@ -83,21 +91,30 @@ func (c *ClippedReLU) Range() float32 { return c.Hi - c.Lo }
 // Forward applies the clipped rectifier.
 func (c *ClippedReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape...)
+	clipInto(y.Data, x.Data, c.Lo, c.Hi)
 	if train {
 		c.mask = make([]bool, len(x.Data))
-	}
-	for i, v := range x.Data {
-		switch {
-		case v > c.Hi:
-			y.Data[i] = c.Hi - c.Lo
-		case v >= c.Lo:
-			y.Data[i] = v - c.Lo
-			if train {
-				c.mask[i] = true
-			}
+		for i, v := range x.Data {
+			c.mask[i] = v >= c.Lo && v <= c.Hi
 		}
 	}
 	return y
+}
+
+// clipInto is the clipped-ReLU inference kernel, shared with the
+// compiled plan's epilogue. dst may alias src.
+func clipInto(dst, src []float32, lo, hi float32) {
+	top := hi - lo
+	for i, v := range src {
+		switch {
+		case v > hi:
+			dst[i] = top
+		case v >= lo:
+			dst[i] = v - lo
+		default:
+			dst[i] = 0
+		}
+	}
 }
 
 // Backward passes gradient only through the linear region.

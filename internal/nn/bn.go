@@ -65,15 +65,10 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	if !train {
 		for ch := 0; ch < bn.C; ch++ {
-			inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
-			a := bn.Gamma.Value.Data[ch] * inv
-			b := bn.Beta.Value.Data[ch] - bn.RunningMean.Data[ch]*a
+			a, b := bn.affine(ch)
 			for i := 0; i < n; i++ {
-				src := x.Data[i*sample+ch*plane : i*sample+(ch+1)*plane]
-				dst := y.Data[i*sample+ch*plane : i*sample+(ch+1)*plane]
-				for j, v := range src {
-					dst[j] = a*v + b
-				}
+				off := i*sample + ch*plane
+				bnRow(y.Data[off:off+plane], x.Data[off:off+plane], a, b)
 			}
 		}
 		return y
@@ -141,6 +136,25 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.RunningVar.Data[ch] = (1-bn.Momentum)*bn.RunningVar.Data[ch] + bn.Momentum*variance
 	}
 	return y
+}
+
+// affine returns channel ch's inference transform y = a·x + b from the
+// running statistics. The inference forward and the compiled plan's
+// fused epilogue (plan.go) both take a and b from here, so they round
+// identically.
+func (bn *BatchNorm2D) affine(ch int) (a, b float32) {
+	inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar.Data[ch])+float64(bn.Eps)))
+	a = bn.Gamma.Value.Data[ch] * inv
+	b = bn.Beta.Value.Data[ch] - bn.RunningMean.Data[ch]*a
+	return a, b
+}
+
+// bnRow is the inference kernel of one channel row: dst = a·src + b.
+// dst may alias src.
+func bnRow(dst, src []float32, a, b float32) {
+	for j, v := range src {
+		dst[j] = a*v + b
+	}
 }
 
 // Backward computes gradients through the batch-normalisation transform.

@@ -80,6 +80,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // comes from the tensor buffer pool, so the call is allocation-free — the
 // hot path for FDSP tile serving.
 func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
+	c.forwardInto(y, x, train, nil)
+}
+
+// forwardInto is the convolution kernel behind Forward, ForwardInto and
+// the compiled plan: epi (nil for none) runs on each output channel row
+// right after that row's bias add, while the row is still in cache.
+func (c *Conv2D) forwardInto(y, x *tensor.Tensor, train bool, epi epilogue) {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", c.label, x.Shape))
 	}
@@ -102,29 +109,30 @@ func (c *Conv2D) ForwardInto(y, x *tensor.Tensor, train bool) {
 	if !train && c.int8w != nil {
 		if n == 1 || runtime.GOMAXPROCS(0) == 1 {
 			for i := 0; i < n; i++ {
-				c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow)
+				c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow, epi)
 			}
 			return
 		}
 		parallel.For(n, func(i int) {
-			c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow)
+			c.forwardSampleInt8(y.Data, x.Data, i, h, w, oh, ow, epi)
 		})
 		return
 	}
 	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := 0; i < n; i++ {
-			c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train)
+			c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train, epi)
 		}
 		return
 	}
 	parallel.For(n, func(i int) {
-		c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train)
+		c.forwardSample(y.Data, x.Data, i, h, w, oh, ow, train, epi)
 	})
 }
 
 // forwardSample computes one sample's output plane stack, including the
-// per-channel bias, so large batches never serialise on a post-pass.
-func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool) {
+// per-channel bias and epilogue, so large batches never serialise on a
+// post-pass.
+func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool, epi epilogue) {
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	plane := oh * ow
 	sample := c.InC * h * w
@@ -151,15 +159,18 @@ func (c *Conv2D) forwardSample(yd, xd []float32, i, h, w, oh, ow int, train bool
 		tensor.GemmInto(ys, wd, buf, c.OutC, kdim, plane)
 		tensor.PutBuf(buf)
 	}
-	if c.UseBias {
-		bias := c.Bias.Value.Data
-		for oc := 0; oc < c.OutC; oc++ {
-			b := bias[oc]
-			row := ys[oc*plane : (oc+1)*plane]
+	if !c.UseBias && epi == nil {
+		return
+	}
+	for oc := 0; oc < c.OutC; oc++ {
+		row := ys[oc*plane : (oc+1)*plane]
+		if c.UseBias {
+			b := c.Bias.Value.Data[oc]
 			for j := range row {
 				row[j] += b
 			}
 		}
+		epi.apply(oc, row)
 	}
 }
 

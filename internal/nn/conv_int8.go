@@ -42,7 +42,7 @@ func (c *Conv2D) Int8() bool { return c.int8w != nil }
 // accumulators, fused requantize+bias into ys. Zero allocations. If the
 // sample's activation range is non-finite (NaN/Inf input) it falls back
 // to the f32 path, which propagates the values faithfully.
-func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
+func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int, epi epilogue) {
 	plane := oh * ow
 	sample := c.InC * h * w
 	outSample := c.OutC * plane
@@ -51,20 +51,20 @@ func (c *Conv2D) forwardSampleInt8(yd, xd []float32, i, h, w, oh, ow int) {
 	mn, mx := tensor.MinMax(xs)
 	af, err := quant.AffineFor(mn, mx)
 	if err != nil {
-		c.forwardSample(yd, xd, i, h, w, oh, ow, false)
+		c.forwardSample(yd, xd, i, h, w, oh, ow, false, epi)
 		return
 	}
 	kp := c.int8w.KP
 	bq := tensor.GetBytes(plane * kp)
 	tensor.Im2ColQuantSlice(bq, xs, c.InC, h, w, c.Geom, af.InvScale(), af.Zero, kp)
-	c.int8Gemm(ys, bq, plane, af)
+	c.int8Gemm(ys, bq, plane, af, epi)
 	tensor.PutBytes(bq)
 }
 
 // int8Gemm multiplies the packed activation columns against the int8
 // weight snapshot and requantizes each output channel row (with bias)
-// into ys[OutC][plane].
-func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine) {
+// into ys[OutC][plane], running epi on each row as it is written.
+func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine, epi epilogue) {
 	acc := tensor.GetI32(c.OutC * plane)
 	tensor.GemmInt8DotInto(acc, c.int8w.Data, bq, c.OutC, plane, c.int8w.KP)
 	z := int32(af.Zero)
@@ -73,8 +73,10 @@ func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine) 
 		if c.UseBias {
 			b = c.Bias.Value.Data[oc]
 		}
-		tensor.RequantizeI32Row(ys[oc*plane:(oc+1)*plane], acc[oc*plane:(oc+1)*plane],
+		row := ys[oc*plane : (oc+1)*plane]
+		tensor.RequantizeI32Row(row, acc[oc*plane:(oc+1)*plane],
 			c.int8w.Scales[oc]*af.Scale, z*c.int8w.RowSum[oc], b)
+		epi.apply(oc, row)
 	}
 	tensor.PutI32(acc)
 }
@@ -87,6 +89,12 @@ func (c *Conv2D) int8Gemm(ys []float32, bq []uint8, plane int, af quant.Affine) 
 // spatial padding reading as af.Zero (the level of 0.0). Requires
 // QuantizeInt8 to have been called.
 func (c *Conv2D) ForwardLevelsInto(y *tensor.Tensor, levels []uint8, h, w int, af quant.Affine) {
+	c.forwardLevelsInto(y, levels, h, w, af, nil)
+}
+
+// forwardLevelsInto is ForwardLevelsInto with an epilogue: the compiled
+// plan's levels entry.
+func (c *Conv2D) forwardLevelsInto(y *tensor.Tensor, levels []uint8, h, w int, af quant.Affine, epi epilogue) {
 	if c.int8w == nil {
 		panic(fmt.Sprintf("nn: %s ForwardLevelsInto without QuantizeInt8", c.label))
 	}
@@ -101,6 +109,6 @@ func (c *Conv2D) ForwardLevelsInto(y *tensor.Tensor, levels []uint8, h, w int, a
 	kp := c.int8w.KP
 	bq := tensor.GetBytes(plane * kp)
 	tensor.Im2ColU8Slice(bq, levels, c.InC, h, w, c.Geom, af.Zero, kp)
-	c.int8Gemm(y.Data, bq, plane, af)
+	c.int8Gemm(y.Data, bq, plane, af, epi)
 	tensor.PutBytes(bq)
 }

@@ -39,14 +39,26 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.K)/p.Stride + 1
 	ow := (w-p.K)/p.Stride + 1
-	if oh < 1 || ow < 1 {
+	if h < p.K || w < p.K {
 		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.label, p.K, x.Shape))
 	}
 	y := tensor.New(n, c, oh, ow)
+	var argmax []int
 	if train {
 		p.inShape = []int{n, c, h, w}
 		p.argmax = make([]int, n*c*oh*ow)
+		argmax = p.argmax
 	}
+	p.forwardInto(y, x, argmax)
+	return y
+}
+
+// forwardInto is the max-pooling kernel: y must have the output shape.
+// A non-nil argmax records each winner's flat input index for Backward.
+// The compiled plan runs it with argmax nil.
+func (p *MaxPool2D) forwardInto(y, x *tensor.Tensor, argmax []int) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := y.Shape[2], y.Shape[3]
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			src := x.Data[(i*c+ch)*h*w:]
@@ -66,14 +78,13 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					y.Data[dstBase+oy*ow+ox] = best
-					if train {
-						p.argmax[dstBase+oy*ow+ox] = (i*c+ch)*h*w + bi
+					if argmax != nil {
+						argmax[dstBase+oy*ow+ox] = (i*c+ch)*h*w + bi
 					}
 				}
 			}
 		}
 	}
-	return y
 }
 
 // Backward scatters each output gradient to the input position that won
@@ -194,6 +205,16 @@ func NewGlobalAvgPool2D(label string) *GlobalAvgPool2D {
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	y := tensor.New(n, c)
+	globalAvgInto(y, x)
+	if train {
+		p.inShape = []int{n, c, h, w}
+	}
+	return y
+}
+
+// globalAvgInto is the global-average-pooling kernel: y is [N, C].
+func globalAvgInto(y, x *tensor.Tensor) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	inv := 1 / float32(h*w)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -205,10 +226,6 @@ func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			y.Data[i*c+ch] = s * inv
 		}
 	}
-	if train {
-		p.inShape = []int{n, c, h, w}
-	}
-	return y
 }
 
 // Backward spreads the gradient uniformly across the plane.

@@ -34,14 +34,25 @@ func (p *MaxPoolRect) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.KH)/p.SH + 1
 	ow := (w-p.KW)/p.SW + 1
-	if oh < 1 || ow < 1 {
+	if h < p.KH || w < p.KW {
 		panic(fmt.Sprintf("nn: %s window too large for %v", p.label, x.Shape))
 	}
 	y := tensor.New(n, c, oh, ow)
+	var argmax []int
 	if train {
 		p.inShape = []int{n, c, h, w}
 		p.argmax = make([]int, n*c*oh*ow)
+		argmax = p.argmax
 	}
+	p.forwardInto(y, x, argmax)
+	return y
+}
+
+// forwardInto is the rectangular max-pooling kernel; see
+// MaxPool2D.forwardInto.
+func (p *MaxPoolRect) forwardInto(y, x *tensor.Tensor, argmax []int) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := y.Shape[2], y.Shape[3]
 	for i := 0; i < n*c; i++ {
 		src := x.Data[i*h*w:]
 		dstBase := i * oh * ow
@@ -59,13 +70,12 @@ func (p *MaxPoolRect) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 				}
 				y.Data[dstBase+oy*ow+ox] = best
-				if train {
-					p.argmax[dstBase+oy*ow+ox] = i*h*w + bi
+				if argmax != nil {
+					argmax[dstBase+oy*ow+ox] = i*h*w + bi
 				}
 			}
 		}
 	}
-	return y
 }
 
 // Backward scatters gradients to the max positions.

@@ -33,8 +33,22 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("nn: %s shape mismatch body %v vs shortcut %v", r.label, main.Shape, skip.Shape))
 	}
+	if !train {
+		y := tensor.New(main.Shape...)
+		joinRelu(y.Data, main.Data, skip.Data)
+		return y
+	}
 	sum := main.Clone().Add(skip)
 	return r.relu.Forward(sum, train)
+}
+
+// joinRelu is the residual join's inference kernel, shared with the
+// compiled plan: dst = ReLU(main + skip). dst may alias main.
+func joinRelu(dst, main, skip []float32) {
+	for i, v := range skip {
+		dst[i] = main[i] + v
+	}
+	reluInto(dst, dst)
 }
 
 // Backward propagates through the ReLU, the body, and the shortcut,

@@ -31,6 +31,18 @@ func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f := u.Factor
 	y := tensor.New(n, c, h*f, w*f)
+	u.forwardInto(y, x)
+	if train {
+		u.inShape = []int{n, c, h, w}
+	}
+	return y
+}
+
+// forwardInto is the nearest-neighbour upsampling kernel: y must be
+// [N, C, H·f, W·f].
+func (u *Upsample2D) forwardInto(y, x *tensor.Tensor) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	f := u.Factor
 	for i := 0; i < n*c; i++ {
 		src := x.Data[i*h*w : (i+1)*h*w]
 		dst := y.Data[i*h*f*w*f:]
@@ -46,10 +58,6 @@ func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if train {
-		u.inShape = []int{n, c, h, w}
-	}
-	return y
 }
 
 // Backward sums gradients over each factor×factor block.
